@@ -98,13 +98,14 @@ def _rng(seed: int, *stream: int) -> np.random.Generator:
 
 
 def _generate(c: CloudParams, n: int, rng: np.random.Generator
-              ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+              ) -> tuple[np.ndarray, np.ndarray | None]:
+    """Droplet positions x and entropy draws En' (None when En = 0)."""
     if n < 1:
         raise ValueError("droplet count must be at least 1")
     if c.en == 0 and c.he > 0:
         raise ValueError("En = 0 with He > 0: entropy draws centered at 0 are ill-defined")
     if c.en == 0:
-        return np.full(n, c.ex), np.ones(n), None
+        return np.full(n, c.ex), None
     if c.he == 0:
         enp = np.full(n, c.en)
     else:
@@ -114,9 +115,7 @@ def _generate(c: CloudParams, n: int, rng: np.random.Generator
             if not bad.any():
                 break
             enp[bad] = rng.normal(c.en, c.he, int(bad.sum()))
-    x = rng.normal(c.ex, enp)
-    mu = np.exp(-((x - c.ex) ** 2) / (2.0 * enp**2))
-    return x, mu, enp
+    return rng.normal(c.ex, enp), enp
 
 
 def forward_cloud(c: CloudParams, n: int, seed: int) -> DropletSet:
@@ -127,7 +126,8 @@ def forward_cloud(c: CloudParams, n: int, seed: int) -> DropletSet:
     cases: He = 0 fixes En' = En; En = He = 0 yields n copies of (Ex, 1).
     Fully determined by (params, n, seed).
     """
-    x, mu, enp = _generate(c, n, _rng(seed))
+    x, enp = _generate(c, n, _rng(seed))
+    mu = np.ones(n) if enp is None else np.exp(-((x - c.ex) ** 2) / (2.0 * enp**2))
     return DropletSet(x=x, mu=mu, seed=int(seed), source=c, en_prime=enp)
 
 
@@ -190,7 +190,7 @@ def aggregate_clouds(children: list[CloudParams], w, strategy: str = "linear") -
 
 def _directed_similarity(a: CloudParams, b: CloudParams, n: int, rng: np.random.Generator) -> float:
     """Mean membership of a's droplets under b's expectation curve."""
-    x, _, _ = _generate(a, n, rng)
+    x, _ = _generate(a, n, rng)
     return float(np.mean(np.exp(-((x - b.ex) ** 2) / (2.0 * b.en**2))))
 
 

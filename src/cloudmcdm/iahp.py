@@ -11,6 +11,7 @@ is applied to the result.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -81,8 +82,11 @@ def _check_square(m: np.ndarray, name: str) -> np.ndarray:
 
 
 def validate_judgment(j: np.ndarray, tol: float = _SCALE_TOL) -> None:
-    """Check unit diagonal and reciprocity r_ij * r_ji = 1."""
+    """Check finite entries, unit diagonal and reciprocity r_ij * r_ji = 1."""
     j = _check_square(j, "judgment matrix")
+    if not np.isfinite(j).all():
+        i, k = np.argwhere(~np.isfinite(j))[0]
+        raise ValueError(f"non-finite entry {j[i, k]!r} at cell ({i + 1},{k + 1})")
     n = j.shape[0]
     if not (2 <= n <= 15):
         raise ValueError(f"judgment matrix order must be in [2, 15], got {n}")
@@ -149,23 +153,35 @@ def consistent_reference(p: np.ndarray) -> np.ndarray:
     For j > i+1 the entry is rebuilt from the normalized geometric mean of the
     chains p_it * p_tj over intermediate t; entries with j <= i+1 are copied
     and the lower triangle follows by complementarity. Orders <= 2 pass through.
+
+    All cells are computed in one pass: the chain products of every cell are
+    gathered into one row each (positions past j-1 hold 1.0) and multiplied
+    left to right, and the roots use libm `pow` through `math.pow`, so the
+    result is bit-identical to rebuilding the cells one by one with
+    `np.prod` and a scalar power. (numpy's array power and log-sums round
+    differently, and the repair loop feeds its output back into itself.)
     """
     p = _check_square(p, "preference relation")
     n = p.shape[0]
     if n <= 2:
         return p.copy()
+    i, j = np.triu_indices(n, 2)  # row-major: an error names the first bad cell in row order
+    t = i[:, None] + 1 + np.arange(n - 2)
+    inside = t < j[:, None]
+    t = np.where(inside, t, 0)  # any valid index; its products are replaced by 1.0
+    q = 1.0 - p
+    num = np.where(inside, p[i[:, None], t] * p[t, j[:, None]], 1.0).prod(axis=1)
+    den = np.where(inside, q[i[:, None], t] * q[t, j[:, None]], 1.0).prod(axis=1)
+    bad = (num == 0.0) | (den == 0.0)
+    if bad.any():
+        c = int(np.argmax(bad))
+        raise ValueError(f"degenerate chain for cell ({i[c] + 1},{j[c] + 1}): zero product")
+    k = (1.0 / (j - i - 1)).tolist()
+    a = np.array([math.pow(v, e) for v, e in zip(num.tolist(), k)])
+    b = np.array([math.pow(v, e) for v, e in zip(den.tolist(), k)])
     out = p.copy()
-    for i in range(n):
-        for j in range(i + 2, n):
-            ts = np.arange(i + 1, j)
-            num = np.prod(p[i, ts] * p[ts, j])
-            den = np.prod((1.0 - p[i, ts]) * (1.0 - p[ts, j]))
-            if num == 0.0 or den == 0.0:
-                raise ValueError(f"degenerate chain for cell ({i + 1},{j + 1}): zero product")
-            k = 1.0 / (j - i - 1)
-            a, b = num**k, den**k
-            out[i, j] = a / (a + b)
-            out[j, i] = 1.0 - out[i, j]
+    out[i, j] = a / (a + b)
+    out[j, i] = 1.0 - out[i, j]
     return out
 
 
@@ -262,10 +278,8 @@ def _power_iteration(a: np.ndarray, tol: float = 1e-12, max_sweeps: int = 10_000
                      ) -> tuple[np.ndarray, float]:
     n = a.shape[0]
     v = np.full(n, 1.0 / n)
-    lam = float("nan")
     for _ in range(max_sweeps):
         av = a @ v
-        lam = float(av @ v / (v @ v))
         nxt = av / av.sum()
         if np.abs(nxt - v).max() < tol:
             v = nxt

@@ -217,6 +217,10 @@ def load_inputs(cfg: PipelineConfig) -> PipelineInputs:
     data = load_data_csv(cfg.data, leaves)
     z = min_max_normalize(data, h.directions())
     ratings = load_data_csv(cfg.ratings, leaves)
+    if not np.isfinite(ratings.values).all():
+        s, k = np.argwhere(~np.isfinite(ratings.values))[0]
+        raise ValueError(f"{cfg.ratings}: non-finite rating at sample {ratings.object_ids[s]!r}, "
+                         f"indicator {ratings.indicator_ids[k]!r}")
     if (ratings.values < 0).any() or (ratings.values > 100).any():
         raise ValueError(f"{cfg.ratings}: ratings must lie in [0, 100]")
     scheme = load_scheme(cfg.scheme) if cfg.scheme else DEFAULT_SCHEME

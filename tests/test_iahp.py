@@ -83,6 +83,52 @@ def test_reference_identity_for_order_2():
     np.testing.assert_array_equal(consistent_reference(p), p)
 
 
+def _reference_per_cell(p):
+    # the chain loop the vectorized reference replaced, kept as its oracle
+    n = p.shape[0]
+    out = p.copy()
+    for i in range(n):
+        for j in range(i + 2, n):
+            ts = np.arange(i + 1, j)
+            num = np.prod(p[i, ts] * p[ts, j])
+            den = np.prod((1.0 - p[i, ts]) * (1.0 - p[ts, j]))
+            if num == 0.0 or den == 0.0:
+                raise ValueError(f"degenerate chain for cell ({i + 1},{j + 1}): zero product")
+            k = 1.0 / (j - i - 1)
+            a, b = num**k, den**k
+            out[i, j] = a / (a + b)
+            out[j, i] = 1.0 - out[i, j]
+    return out
+
+
+def _random_relation(n, rng, knots):
+    u = rng.choice(PREFERENCE_VALUES, (n, n)) if knots else rng.uniform(0.01, 0.99, (n, n))
+    return np.triu(u, 1) + np.tril(1.0 - u.T, -1) + 0.5 * np.eye(n)
+
+
+@pytest.mark.parametrize("knots", [True, False])
+def test_reference_matches_per_cell_chain_loop(knots):
+    rng = np.random.default_rng(5)
+    for n in range(3, 16):
+        for _ in range(8):
+            p = _random_relation(n, rng, knots)
+            np.testing.assert_array_equal(consistent_reference(p), _reference_per_cell(p))
+
+
+def test_reference_zero_product_names_first_cell_like_loop():
+    rng = np.random.default_rng(8)
+    for n in (5, 9, 15):
+        p = _random_relation(n, rng, knots=False)
+        # a zero p and a zero 1 - p, each in several chains; the loop stops at the first
+        for a, b, v in ((2, 3, 0.0), (n - 2, n - 1, 1.0)):
+            p[a, b], p[b, a] = v, 1.0 - v
+        with pytest.raises(ValueError) as want:
+            _reference_per_cell(p)
+        with pytest.raises(ValueError, match="zero product") as got:
+            consistent_reference(p)
+        assert str(got.value) == str(want.value)
+
+
 def test_reference_reaches_fixed_point():
     j = consistent_judgment(np.array([0.6, 0.3, 0.1]))  # ratios 2, 3, 6: all on scale
     ref = consistent_reference(pref_of(j))

@@ -116,26 +116,54 @@ def test_evaluate_cli_deterministic(tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
-def test_off_scale_judgment_entry_exits_2(tmp_path, capsys):
-    # clone the demo config with one corrupted judgment cell
+def _copy_demo(dst: Path) -> None:
     for src in DEMO.iterdir():
         if src.is_file():
-            (tmp_path / src.name).write_bytes(src.read_bytes())
-    (tmp_path / "judgment").mkdir()
+            (dst / src.name).write_bytes(src.read_bytes())
+    (dst / "judgment").mkdir()
     for src in (DEMO / "judgment").iterdir():
-        (tmp_path / "judgment" / src.name).write_bytes(src.read_bytes())
-    bad = (tmp_path / "judgment" / "C3.csv").read_text().splitlines()
-    cells = bad[0].split(",")
-    cells[1] = "2.5"  # not on the 1/9..9 scale
-    bad[0] = ",".join(cells)
-    cells = bad[1].split(",")
-    cells[0] = "0.4"  # keep reciprocity so the scale check is what fires
-    bad[1] = ",".join(cells)
-    (tmp_path / "judgment" / "C3.csv").write_text("\n".join(bad) + "\n")
+        (dst / "judgment" / src.name).write_bytes(src.read_bytes())
+
+
+def _set_csv_cell(path: Path, row: int, col: int, value: str) -> None:
+    lines = path.read_text().splitlines()
+    cells = lines[row].split(",")
+    cells[col] = value
+    lines[row] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+
+
+def test_off_scale_judgment_entry_exits_2(tmp_path, capsys):
+    # clone the demo config with one corrupted judgment cell
+    _copy_demo(tmp_path)
+    _set_csv_cell(tmp_path / "judgment" / "C3.csv", 0, 1, "2.5")  # not on the 1/9..9 scale
+    # keep reciprocity so the scale check is what fires
+    _set_csv_cell(tmp_path / "judgment" / "C3.csv", 1, 0, "0.4")
     rc = cli_main(["evaluate", str(tmp_path / "config_before.json")])
     assert rc == 2
     err = capsys.readouterr().err
     assert "(1,2)" in err and "scale" in err
+
+
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+def test_non_finite_judgment_entry_exits_2(tmp_path, capsys, token):
+    _copy_demo(tmp_path)
+    _set_csv_cell(tmp_path / "judgment" / "C1.csv", 0, 1, token)
+    rc = cli_main(["weights", str(tmp_path / "config_before.json")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "(1,2)" in err and "non-finite" in err
+
+
+@pytest.mark.parametrize("token", ["nan", "inf"])
+def test_non_finite_rating_exits_2(tmp_path, capsys, token):
+    _copy_demo(tmp_path)
+    # header is line 0; line 3 is sample s3, column 5 is indicator C15
+    _set_csv_cell(tmp_path / "ratings_before.csv", 3, 5, token)
+    rc = cli_main(["evaluate", str(tmp_path / "config_before.json")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "non-finite rating" in err and "'s3'" in err and "'C15'" in err
 
 
 def test_validate_cli(capsys):
