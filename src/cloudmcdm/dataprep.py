@@ -65,13 +65,62 @@ def min_max_normalize(d: DataMatrix, directions: Mapping[str, str]) -> Normalize
     return DataMatrix(d.object_ids, d.indicator_ids, out)
 
 
-def load_data_csv(path: str | Path, indicator_ids: list[str] | None = None) -> DataMatrix:
-    """Read a data CSV: header row of indicator ids, first column = object id.
+# Characters that keep a file off the bulk path: quotes and CR need the csv
+# reader, and numpy strips \x1c-\x1f as whitespace where float() rejects them.
+_NOT_PLAIN = '"\r\x1c\x1d\x1e\x1f'
 
-    With `indicator_ids` the columns are checked and reordered to that order.
-    """
+
+def read_csv_rows(path: str | Path) -> list[list[str]]:
+    """Every row of a UTF-8 CSV file; a csv parse error (such as a field over
+    `csv.field_size_limit()`) becomes a ValueError naming the file and line."""
     with open(path, newline="", encoding="utf-8") as f:
-        rows = list(csv.reader(f))
+        reader = csv.reader(f)
+        try:
+            return list(reader)
+        except csv.Error as e:
+            raise ValueError(f"{path}: line {reader.line_num}: {e}") from None
+
+
+def _parse_plain(path: str | Path) -> tuple[list[str], list[str], np.ndarray] | None:
+    """Header, object ids and values of a plain CSV in one `np.loadtxt` pass, else None.
+
+    Plain means: valid UTF-8, "\\n" line ends, no character of `_NOT_PLAIN`, no
+    line longer than the csv field limit, and every line holding as many cells
+    as the header, each of which numpy parses. numpy and float() both end in
+    PyOS_string_to_double, so a plain file parses to the same bits either way;
+    anything else (blank lines, `1_0`, non-ASCII digits, every error) is left
+    to the csv reader.
+    """
+    with open(path, "rb") as f:
+        data = f.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+    if any(c in text for c in _NOT_PLAIN):
+        return None
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    if len(lines) < 2 or max(map(len, lines)) > csv.field_size_limit():
+        return None
+    header = [c.strip() for c in lines[0].split(",")[1:]]
+    ids, _, rests = zip(*(line.partition(",") for line in lines[1:]))
+    # numpy skips empty lines, so a row whose only cell is its id must not reach it
+    if not header or not all(rests):
+        return None
+    try:
+        values = np.loadtxt(rests, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if values.shape != (len(rests), len(header)):
+        return None
+    return header, [i.strip() for i in ids], values
+
+
+def _parse_rows(path: str | Path) -> tuple[list[str], list[str], np.ndarray]:
+    """Header, object ids and values through the csv reader and float(), one cell at a time."""
+    rows = read_csv_rows(path)
     if len(rows) < 2:
         raise ValueError(f"{path}: expected a header row and at least one data row")
     header = [c.strip() for c in rows[0][1:]]
@@ -84,7 +133,19 @@ def load_data_csv(path: str | Path, indicator_ids: list[str] | None = None) -> D
             values.append([float(c) for c in row[1:]])
         except ValueError as e:
             raise ValueError(f"{path}: row {r}: {e}") from None
-    d = DataMatrix(tuple(object_ids), tuple(header), np.array(values))
+    return header, object_ids, np.array(values)
+
+
+def load_data_csv(path: str | Path, indicator_ids: list[str] | None = None) -> DataMatrix:
+    """Read a data CSV: header row of unique indicator ids, first column = object id.
+
+    With `indicator_ids` the columns are checked and reordered to that order.
+    """
+    header, object_ids, values = _parse_plain(path) or _parse_rows(path)
+    if len(set(header)) != len(header):
+        dup = next(c for i, c in enumerate(header) if c in header[:i])
+        raise ValueError(f"{path}: duplicate column id {dup!r}")
+    d = DataMatrix(tuple(object_ids), tuple(header), values)
     if indicator_ids is not None:
         if set(header) != set(indicator_ids):
             missing = sorted(set(indicator_ids) - set(header))

@@ -10,7 +10,6 @@ is applied to the result.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -18,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .dataprep import read_csv_rows
 from .ewm import WeightVector
 
 # scale knots: 1/9 .. 9 <-> 0.1 .. 0.9 in steps of 0.05
@@ -315,17 +315,21 @@ def parse_scale_value(token: str) -> float:
 
 
 def load_judgment_csv(path: str | Path) -> np.ndarray:
-    """Read an n x n judgment matrix; entries may be decimals or '1/7'-style fractions."""
-    with open(path, newline="", encoding="utf-8") as f:
-        rows = [r for r in csv.reader(f) if r and any(c.strip() for c in r)]
+    """Read an n x n judgment matrix; entries may be decimals or '1/7'-style fractions.
+
+    Each distinct token is parsed once per file; the first unparsable cell in
+    row-major order is the one named.
+    """
+    rows = [r for r in read_csv_rows(path) if r and any(c.strip() for c in r)]
     n = len(rows)
-    m = np.empty((n, n))
+    parsed: dict[str, float] = {}
     for i, row in enumerate(rows):
         if len(row) != n:
             raise ValueError(f"{path}: row {i + 1} has {len(row)} entries, expected {n}")
         for k, cell in enumerate(row):
-            try:
-                m[i, k] = parse_scale_value(cell)
-            except ValueError as e:
-                raise ValueError(f"{path}: cell ({i + 1},{k + 1}): {e}") from None
-    return m
+            if cell not in parsed:
+                try:
+                    parsed[cell] = parse_scale_value(cell)
+                except ValueError as e:
+                    raise ValueError(f"{path}: cell ({i + 1},{k + 1}): {e}") from None
+    return np.array([[parsed[c] for c in row] for row in rows], dtype=float).reshape(n, n)

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -304,3 +306,48 @@ def test_judgment_csv_round_trip(tmp_path):
     path = tmp_path / "m.csv"
     path.write_text("1,3,1/5\n1/3,1,7\n5,1/7,1\n")
     np.testing.assert_allclose(load_judgment_csv(path), CYCLIC_3)
+
+
+def _judgment_per_cell_reference(path):
+    """The loader before token memoization: every cell parsed on its own."""
+    with open(path, newline="", encoding="utf-8") as f:
+        rows = [r for r in csv.reader(f) if r and any(c.strip() for c in r)]
+    n = len(rows)
+    m = np.empty((n, n))
+    for i, row in enumerate(rows):
+        if len(row) != n:
+            raise ValueError(f"{path}: row {i + 1} has {len(row)} entries, expected {n}")
+        for k, cell in enumerate(row):
+            try:
+                m[i, k] = parse_scale_value(cell)
+            except ValueError as e:
+                raise ValueError(f"{path}: cell ({i + 1},{k + 1}): {e}") from None
+    return m
+
+
+def _outcome(load, path):
+    try:
+        m = load(path)
+    except ValueError as e:
+        return str(e)
+    return m.shape, m.tobytes()
+
+
+def test_judgment_csv_matches_per_cell_reference(tmp_path):
+    rng = np.random.default_rng(5)
+    good = ["1", " 1", "3", "3 ", "1/3", "1/5", "0.2", "7"]
+    path = tmp_path / "m.csv"
+    for _ in range(200):
+        n = int(rng.integers(0, 6))
+        pool = good + ["1/0", "x", ""] if rng.random() < 0.3 else good
+        width = n + 1 if rng.random() < 0.1 else n
+        rows = [",".join(rng.choice(pool, width)) for _ in range(n)]
+        path.write_text("\n".join(rows) + "\n")
+        assert _outcome(load_judgment_csv, path) == _outcome(_judgment_per_cell_reference, path)
+
+
+def test_judgment_csv_names_first_bad_cell_in_row_major_order(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text("1,3,1/5\n1/3,1,x\nx,y,1\n")
+    with pytest.raises(ValueError, match=r"cell \(2,3\): cannot parse judgment entry 'x'"):
+        load_judgment_csv(path)

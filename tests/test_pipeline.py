@@ -1,3 +1,4 @@
+import csv
 import json
 from pathlib import Path
 
@@ -164,6 +165,30 @@ def test_non_finite_rating_exits_2(tmp_path, capsys, token):
     assert rc == 2
     err = capsys.readouterr().err
     assert "non-finite rating" in err and "'s3'" in err and "'C15'" in err
+
+
+def test_duplicated_indicator_column_exits_2(tmp_path, capsys):
+    # a second C11 column full of 999 used to be dropped without a word
+    _copy_demo(tmp_path)
+    path = tmp_path / "indicators.csv"
+    lines = path.read_text().splitlines()
+    lines = [lines[0] + ",C11"] + [line + ",999" for line in lines[1:]]
+    path.write_text("\n".join(lines) + "\n")
+    rc = cli_main(["weights", str(tmp_path / "config_before.json")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "indicators.csv" in err and "duplicate column id 'C11'" in err
+
+
+@pytest.mark.parametrize("name, row, col", [("indicators.csv", 1, 1), ("ratings_before.csv", 2, 3),
+                                            ("judgment/C1.csv", 0, 1)])
+def test_over_long_csv_field_exits_2(tmp_path, capsys, name, row, col):
+    _copy_demo(tmp_path)
+    _set_csv_cell(tmp_path / name, row, col, "1" + " " * csv.field_size_limit())
+    rc = cli_main(["weights", str(tmp_path / "config_before.json")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert name.split("/")[-1] in err and "field larger than field limit" in err
 
 
 def test_validate_cli(capsys):
