@@ -32,6 +32,7 @@ from .cloud import (
     cloud_similarity,
     forward_cloud,
     grade_cloud,
+    grade_clouds,
     indicator_cloud,
     load_scheme,
 )

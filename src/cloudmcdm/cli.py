@@ -22,6 +22,7 @@ from .pipeline import (
     droplets_csv_bytes,
     load_inputs,
     run_pipeline,
+    score_clouds,
 )
 
 
@@ -95,25 +96,14 @@ def cmd_compare(args) -> int:
 def cmd_droplets(args) -> int:
     cfg = _load_config(args)
     inputs = load_inputs(cfg)
-    ws = compute_weights(inputs, cfg)
-    from .cloud import aggregate_clouds, indicator_cloud
-
-    leaf_clouds = {leaf: indicator_cloud(inputs.ratings.values[:, k])
-                   for k, leaf in enumerate(inputs.leaves)}
-    h = inputs.hierarchy
-    crit_clouds = {
-        cid: aggregate_clouds([leaf_clouds[i] for i in leaf_indicators(h, cid)],
-                              ws.local_combined[cid], strategy=cfg.aggregation)
-        for cid in h.criterion_ids()
-    }
+    leaf_clouds, crit_clouds, comprehensive = score_clouds(inputs, compute_weights(inputs, cfg), cfg)
     level = args.level
     if level in leaf_clouds:
         cloud = leaf_clouds[level]
     elif level in crit_clouds:
         cloud = crit_clouds[level]
-    elif level in (h.root_id, "comprehensive"):
-        cloud = aggregate_clouds(list(crit_clouds.values()), ws.criterion["combined"],
-                                 strategy=cfg.aggregation)
+    elif level in (inputs.hierarchy.root_id, "comprehensive"):
+        cloud = comprehensive
     else:
         raise ValueError(f"unknown level id {level!r}")
     payload = droplets_csv_bytes(forward_cloud(cloud, args.n, cfg.seed))

@@ -5,6 +5,11 @@ A qualitative concept is the triple (Ex, En, He): expected value, entropy
 (breadth of the concept) and hyper-entropy (dispersion of the breadth, the
 cloud's "thickness"). All randomness flows through numpy's PCG64 generator
 seeded explicitly, so a droplet stream is a pure function of (params, n, seed).
+Droplets are built from a generator's standard normals, so clouds that read the
+same stream share its draws: one evaluation draws the two streams of each grade
+band once and scores every cloud on them. These are the common random numbers
+each cloud would read if graded alone, so a cloud's similarity table does not
+depend on which other clouds are graded with it.
 """
 
 from __future__ import annotations
@@ -97,9 +102,32 @@ def _rng(seed: int, *stream: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), *map(int, stream)]))
 
 
-def _generate(c: CloudParams, n: int, rng: np.random.Generator
-              ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Droplet positions x and entropy draws En' (None when En = 0)."""
+class _Normals:
+    """Standard normals of one generator in draw order, drawn on demand and kept.
+
+    numpy's `normal(loc, scale)` is `loc + scale * standard_normal()` per draw, so
+    droplets built from these values are those drawn with `normal` itself, and
+    every cloud that reads the same generator reads the same values.
+    """
+
+    def __init__(self, rng: np.random.Generator):
+        self._rng = rng
+        self._z = np.empty(0)
+
+    def upto(self, stop: int) -> np.ndarray:
+        """The stream's first `stop` values (possibly more), extending it if needed."""
+        if stop > self._z.size:
+            more = self._rng.standard_normal(stop - self._z.size)
+            self._z = np.concatenate((self._z, more)) if self._z.size else more
+        return self._z
+
+
+def _droplets(c: CloudParams, n: int, z: _Normals) -> tuple[np.ndarray, np.ndarray | None]:
+    """Droplet positions x and entropy draws En' (None when En = 0) read from z.
+
+    z is read in order: n values for En' = En + He*z (skipped when He = 0), one
+    more per non-positive En' to resample it, then n for x = Ex + En'*z.
+    """
     if n < 1:
         raise ValueError("droplet count must be at least 1")
     if c.en == 0 and c.he > 0:
@@ -107,15 +135,17 @@ def _generate(c: CloudParams, n: int, rng: np.random.Generator
     if c.en == 0:
         return np.full(n, c.ex), None
     if c.he == 0:
-        enp = np.full(n, c.en)
+        enp, used = np.full(n, c.en), 0
     else:
-        enp = rng.normal(c.en, c.he, n)
+        enp, used = c.en + c.he * z.upto(2 * n)[:n], n
         while True:  # resample (not abs) to keep truncated-normal semantics
             bad = enp <= 0
             if not bad.any():
                 break
-            enp[bad] = rng.normal(c.en, c.he, int(bad.sum()))
-    return rng.normal(c.ex, enp), enp
+            count = int(bad.sum())
+            enp[bad] = c.en + c.he * z.upto(used + count)[used:used + count]
+            used += count
+    return c.ex + enp * z.upto(used + n)[used:used + n], enp
 
 
 def forward_cloud(c: CloudParams, n: int, seed: int) -> DropletSet:
@@ -126,7 +156,7 @@ def forward_cloud(c: CloudParams, n: int, seed: int) -> DropletSet:
     cases: He = 0 fixes En' = En; En = He = 0 yields n copies of (Ex, 1).
     Fully determined by (params, n, seed).
     """
-    x, enp = _generate(c, n, _rng(seed))
+    x, enp = _droplets(c, n, _Normals(_rng(seed)))
     mu = np.ones(n) if enp is None else np.exp(-((x - c.ex) ** 2) / (2.0 * enp**2))
     return DropletSet(x=x, mu=mu, seed=int(seed), source=c, en_prime=enp)
 
@@ -188,9 +218,8 @@ def aggregate_clouds(children: list[CloudParams], w, strategy: str = "linear") -
     raise ValueError(f"unknown aggregation strategy {strategy!r}")
 
 
-def _directed_similarity(a: CloudParams, b: CloudParams, n: int, rng: np.random.Generator) -> float:
-    """Mean membership of a's droplets under b's expectation curve."""
-    x, _ = _generate(a, n, rng)
+def _mean_membership(x: np.ndarray, b: CloudParams) -> float:
+    """Mean membership of droplets x under b's expectation curve."""
     return float(np.mean(np.exp(-((x - b.ex) ** 2) / (2.0 * b.en**2))))
 
 
@@ -208,30 +237,50 @@ def cloud_similarity(a: CloudParams, b: CloudParams, n: int = 20_000, seed: int 
         if a == b:
             return 1.0
         raise ValueError("reference cloud has En = 0; its expectation curve is degenerate")
-    forward = _directed_similarity(a, b, n, _rng(seed, 0))
+    forward = _mean_membership(_droplets(a, n, _Normals(_rng(seed, 0)))[0], b)
     if a.en == 0:
         return forward
-    backward = _directed_similarity(b, a, n, _rng(seed, 1))
+    backward = _mean_membership(_droplets(b, n, _Normals(_rng(seed, 1)))[0], a)
     return 0.5 * (forward + backward)
+
+
+def grade_clouds(clouds: list[CloudParams], scheme: GradeScheme = DEFAULT_SCHEME,
+                 n: int = 20_000, seed: int = 0) -> list[tuple[str, dict[str, float]]]:
+    """Grade every cloud of one evaluation: per cloud, in order, the label of the
+    most similar grade cloud and the full similarity table.
+
+    The similarity to band k averages two directions: the graded cloud's
+    droplets from stream (seed, 2, k) under the grade cloud's curve, and the
+    grade cloud's droplets from stream (seed, 3, k) under the graded cloud's
+    curve (left out when the graded cloud has En = 0). Each band's two streams
+    are drawn once and every cloud is scored on them, one band at a time. These
+    are the same common random numbers for every cloud, so a cloud's table does
+    not depend on which other clouds are graded with it. Exact ties are broken
+    toward the higher band.
+    """
+    tables: list[dict[str, float]] = [{} for _ in clouds]
+    for k, (label, gc) in enumerate(scheme.clouds()):
+        forward = _Normals(_rng(seed, 2, k))
+        gx, _ = _droplets(gc, n, _Normals(_rng(seed, 3, k)))
+        for c, table in zip(clouds, tables):
+            sim = _mean_membership(_droplets(c, n, forward)[0], gc)
+            table[label] = 0.5 * (sim + _mean_membership(gx, c)) if c.en > 0 else sim
+    return [(_best_label(table), table) for table in tables]
+
+
+def _best_label(table: dict[str, float]) -> str:
+    best_label, best = None, -1.0
+    for label, sim in table.items():
+        if sim >= best:  # scanning low -> high, so equal similarity promotes
+            best_label, best = label, sim
+    return best_label
 
 
 def assign_grade(c: CloudParams, scheme: GradeScheme = DEFAULT_SCHEME, n: int = 20_000,
                  seed: int = 0) -> tuple[str, dict[str, float]]:
     """Label of the most similar grade cloud, plus the full similarity table.
 
-    Exact ties are broken toward the higher band. Each band uses its own
-    derived random sub-stream so the table is reproducible cell by cell.
+    `grade_clouds` for one cloud: the table equals that cloud's table in any
+    batch graded with the same scheme, n and seed.
     """
-    table: dict[str, float] = {}
-    best_label, best = None, -1.0
-    for k, (label, gc) in enumerate(scheme.clouds()):
-        fwd = _directed_similarity(c, gc, n, _rng(seed, 2, k))
-        if c.en > 0:
-            bwd = _directed_similarity(gc, c, n, _rng(seed, 3, k))
-            sim = 0.5 * (fwd + bwd)
-        else:
-            sim = fwd
-        table[label] = sim
-        if sim >= best:  # scanning low -> high, so equal similarity promotes
-            best_label, best = label, sim
-    return best_label, table
+    return grade_clouds([c], scheme, n, seed)[0]

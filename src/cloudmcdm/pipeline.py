@@ -26,8 +26,9 @@ from .cloud import (
     DEFAULT_SCHEME,
     GradeScheme,
     aggregate_clouds,
-    assign_grade,
+    assign_grade,  # unused; stays bound because perfbench/spans.py wraps pipeline.assign_grade by name
     forward_cloud,
+    grade_clouds,
     indicator_cloud,
     load_scheme,
 )
@@ -217,12 +218,12 @@ def load_inputs(cfg: PipelineConfig) -> PipelineInputs:
     data = load_data_csv(cfg.data, leaves)
     z = min_max_normalize(data, h.directions())
     ratings = load_data_csv(cfg.ratings, leaves)
-    if not np.isfinite(ratings.values).all():
-        s, k = np.argwhere(~np.isfinite(ratings.values))[0]
-        raise ValueError(f"{cfg.ratings}: non-finite rating at sample {ratings.object_ids[s]!r}, "
-                         f"indicator {ratings.indicator_ids[k]!r}")
-    if (ratings.values < 0).any() or (ratings.values > 100).any():
-        raise ValueError(f"{cfg.ratings}: ratings must lie in [0, 100]")
+    for bad, what in ((~np.isfinite(ratings.values), "non-finite rating"),
+                      ((ratings.values < 0) | (ratings.values > 100), "rating outside [0, 100]")):
+        if bad.any():
+            s, k = np.argwhere(bad)[0]
+            raise ValueError(f"{cfg.ratings}: {what} at sample {ratings.object_ids[s]!r}, "
+                             f"indicator {ratings.indicator_ids[k]!r}: {float(ratings.values[s, k])}")
     scheme = load_scheme(cfg.scheme) if cfg.scheme else DEFAULT_SCHEME
     return PipelineInputs(h, leaves, data, z, ratings, scheme)
 
@@ -304,6 +305,21 @@ def compute_weights(inputs: PipelineInputs, cfg: PipelineConfig) -> WeightSet:
     )
 
 
+def score_clouds(inputs: PipelineInputs, ws: WeightSet, cfg: PipelineConfig
+                 ) -> tuple[dict[str, CloudParams], dict[str, CloudParams], CloudParams]:
+    """Leaf clouds from the ratings, criterion clouds aggregated from them with the
+    local combined weights, and the comprehensive cloud aggregated from those."""
+    h = inputs.hierarchy
+    leaf_clouds = {leaf: indicator_cloud(inputs.ratings.values[:, k])
+                   for k, leaf in enumerate(inputs.leaves)}
+    crit_clouds = {cid: aggregate_clouds([leaf_clouds[i] for i in leaf_indicators(h, cid)],
+                                         ws.local_combined[cid], strategy=cfg.aggregation)
+                   for cid in h.criterion_ids()}
+    comprehensive = aggregate_clouds(list(crit_clouds.values()), ws.criterion["combined"],
+                                     strategy=cfg.aggregation)
+    return leaf_clouds, crit_clouds, comprehensive
+
+
 def run_pipeline(config: PipelineConfig | str | Path, out_dir: str | Path | None = None
                  ) -> EvaluationReport:
     """Execute the full chain: hierarchy -> normalization -> subjective/objective/
@@ -316,23 +332,12 @@ def run_pipeline(config: PipelineConfig | str | Path, out_dir: str | Path | None
     inputs = load_inputs(cfg)
     ws = compute_weights(inputs, cfg)
     h = inputs.hierarchy
+    leaf_clouds, crit_clouds, comprehensive = score_clouds(inputs, ws, cfg)
 
-    leaf_clouds = {leaf: indicator_cloud(inputs.ratings.values[:, k])
-                   for k, leaf in enumerate(inputs.leaves)}
-    crit_clouds: dict[str, CloudParams] = {}
-    for cid in h.criterion_ids():
-        ids = leaf_indicators(h, cid)
-        crit_clouds[cid] = aggregate_clouds([leaf_clouds[i] for i in ids],
-                                            ws.local_combined[cid], strategy=cfg.aggregation)
-    comprehensive = aggregate_clouds(list(crit_clouds.values()), ws.criterion["combined"],
-                                     strategy=cfg.aggregation)
-
-    grade, sim_table = assign_grade(comprehensive, inputs.scheme, n=cfg.droplets, seed=cfg.seed)
-    crit_entries = {}
-    for cid, cloud in crit_clouds.items():
-        g, table = assign_grade(cloud, inputs.scheme, n=cfg.droplets, seed=cfg.seed)
-        crit_entries[cid] = {"ex": cloud.ex, "en": cloud.en, "he": cloud.he,
-                             "grade": g, "similarity": table}
+    (grade, sim_table), *crit_grades = grade_clouds(
+        [comprehensive, *crit_clouds.values()], inputs.scheme, n=cfg.droplets, seed=cfg.seed)
+    crit_entries = {cid: {"ex": cloud.ex, "en": cloud.en, "he": cloud.he, "grade": g, "similarity": table}
+                    for (cid, cloud), (g, table) in zip(crit_clouds.items(), crit_grades)}
 
     leaf_scores = [min(100.0, max(0.0, leaf_clouds[i].ex)) for i in inputs.leaves]
     m = membership_matrix(leaf_scores, inputs.scheme)

@@ -11,8 +11,67 @@ from cloudmcdm.cloud import (
     cloud_similarity,
     forward_cloud,
     grade_cloud,
+    grade_clouds,
     indicator_cloud,
 )
+from cloudmcdm.cloud import _Normals, _droplets, _rng
+
+
+# -- reference: one generator per draw and one grading pass per cloud ----------
+# The droplet and grading code before the band's draws were shared, kept verbatim.
+
+def reference_generate(c, n, rng):
+    if n < 1:
+        raise ValueError("droplet count must be at least 1")
+    if c.en == 0 and c.he > 0:
+        raise ValueError("En = 0 with He > 0: entropy draws centered at 0 are ill-defined")
+    if c.en == 0:
+        return np.full(n, c.ex), None
+    if c.he == 0:
+        enp = np.full(n, c.en)
+    else:
+        enp = rng.normal(c.en, c.he, n)
+        while True:  # resample (not abs) to keep truncated-normal semantics
+            bad = enp <= 0
+            if not bad.any():
+                break
+            enp[bad] = rng.normal(c.en, c.he, int(bad.sum()))
+    return rng.normal(c.ex, enp), enp
+
+
+def reference_directed_similarity(a, b, n, rng):
+    x, _ = reference_generate(a, n, rng)
+    return float(np.mean(np.exp(-((x - b.ex) ** 2) / (2.0 * b.en**2))))
+
+
+def reference_cloud_similarity(a, b, n, seed):
+    forward = reference_directed_similarity(a, b, n, _rng(seed, 0))
+    if a.en == 0:
+        return forward
+    backward = reference_directed_similarity(b, a, n, _rng(seed, 1))
+    return 0.5 * (forward + backward)
+
+
+def reference_assign_grade(c, scheme, n, seed):
+    table = {}
+    best_label, best = None, -1.0
+    for k, (label, gc) in enumerate(scheme.clouds()):
+        fwd = reference_directed_similarity(c, gc, n, _rng(seed, 2, k))
+        if c.en > 0:
+            bwd = reference_directed_similarity(gc, c, n, _rng(seed, 3, k))
+            sim = 0.5 * (fwd + bwd)
+        else:
+            sim = fwd
+        table[label] = sim
+        if sim >= best:  # scanning low -> high, so equal similarity promotes
+            best_label, best = label, sim
+    return best_label, table
+
+
+# En = 0, He = 0, He >> En (resampling reads past 2n normals), heavy truncation,
+# a demo-like comprehensive cloud and a grade cloud
+ORACLE_CLOUDS = [CloudParams(70, 0, 0), CloudParams(70, 4, 0), CloudParams(60, 0.5, 5),
+                 CloudParams(50, 1, 3), CloudParams(83.118, 6.931, 3.08), grade_cloud((75, 85))]
 
 
 # -- forward generator -------------------------------------------------------
@@ -219,3 +278,53 @@ def test_grade_stable_in_droplet_count():
     g1, _ = assign_grade(c, DEFAULT_SCHEME, n=10_000, seed=6)
     g2, _ = assign_grade(c, DEFAULT_SCHEME, n=100_000, seed=7)
     assert g1 == g2
+
+
+# -- shared draws against the reference ----------------------------------------
+
+@pytest.mark.parametrize("n", [1000, 20_000])
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_grade_clouds_match_reference(seed, n):
+    graded = grade_clouds(ORACLE_CLOUDS, DEFAULT_SCHEME, n=n, seed=seed)
+    assert graded == [reference_assign_grade(c, DEFAULT_SCHEME, n, seed) for c in ORACLE_CLOUDS]
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_cloud_graded_alone_equals_cloud_in_batch(seed):
+    batch = grade_clouds(ORACLE_CLOUDS, DEFAULT_SCHEME, n=2000, seed=seed)
+    for c, in_batch in zip(ORACLE_CLOUDS, batch):
+        assert assign_grade(c, DEFAULT_SCHEME, n=2000, seed=seed) == in_batch
+    assert grade_clouds(ORACLE_CLOUDS[::-1], DEFAULT_SCHEME, n=2000, seed=seed) == batch[::-1]
+
+
+@pytest.mark.parametrize("n", [1000, 20_000])
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_forward_cloud_matches_reference(seed, n):
+    for c in ORACLE_CLOUDS:
+        d = forward_cloud(c, n, seed)
+        x, enp = reference_generate(c, n, _rng(seed))
+        np.testing.assert_array_equal(d.x, x, strict=True)
+        if enp is None:
+            assert d.en_prime is None
+        else:
+            np.testing.assert_array_equal(d.en_prime, enp, strict=True)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_cloud_similarity_matches_reference(seed):
+    for a in ORACLE_CLOUDS:
+        for b in ORACLE_CLOUDS[1:]:
+            assert cloud_similarity(a, b, n=1000, seed=seed) == reference_cloud_similarity(a, b, 1000, seed)
+
+
+def test_heavy_resampling_extends_the_stream():
+    z = _Normals(_rng(1, 2, 0))
+    _droplets(CloudParams(60, 0.5, 5), 1000, z)
+    assert z.upto(0).size > 2000
+
+
+def test_grading_zero_entropy_with_hyper_entropy_rejected():
+    with pytest.raises(ValueError, match="En = 0"):
+        grade_clouds([CloudParams(70, 4, 1), CloudParams(85, 0, 1)], DEFAULT_SCHEME, n=1000)
+    with pytest.raises(ValueError, match="En = 0"):
+        assign_grade(CloudParams(85, 0, 1), DEFAULT_SCHEME, n=1000)

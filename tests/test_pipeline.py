@@ -167,6 +167,15 @@ def test_non_finite_rating_exits_2(tmp_path, capsys, token):
     assert "non-finite rating" in err and "'s3'" in err and "'C15'" in err
 
 
+def test_out_of_range_rating_exits_2(tmp_path, capsys):
+    _copy_demo(tmp_path)
+    _set_csv_cell(tmp_path / "ratings_before.csv", 3, 5, "150")
+    rc = cli_main(["weights", str(tmp_path / "config_before.json")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "outside [0, 100]" in err and "'s3'" in err and "'C15'" in err and "150.0" in err
+
+
 def test_duplicated_indicator_column_exits_2(tmp_path, capsys):
     # a second C11 column full of 999 used to be dropped without a word
     _copy_demo(tmp_path)
