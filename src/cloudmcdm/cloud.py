@@ -20,6 +20,9 @@ from pathlib import Path
 
 import numpy as np
 
+# Fewest droplets per direction that a similarity estimate may rest on.
+MIN_DROPLETS = 1000
+
 
 @dataclass(frozen=True)
 class CloudParams:
@@ -33,16 +36,11 @@ class CloudParams:
         if self.en < 0 or self.he < 0:
             raise ValueError("En and He must be nonnegative")
 
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.ex, self.en, self.he)
-
 
 @dataclass(frozen=True)
 class DropletSet:
     x: np.ndarray
     mu: np.ndarray
-    seed: int
-    source: CloudParams
     en_prime: np.ndarray | None = None  # per-droplet entropy draws, for diagnostics
 
 
@@ -54,7 +52,7 @@ class BackwardResult:
 
 @dataclass(frozen=True)
 class GradeScheme:
-    """Ordered grade bands covering [0,100] without gaps or overlaps."""
+    """Ordered, uniquely labelled grade bands covering [0,100] without gaps or overlaps."""
 
     bands: tuple[tuple[str, float, float], ...]
     he_ratio: float = 0.1
@@ -65,7 +63,9 @@ class GradeScheme:
         if not self.bands:
             raise ValueError("scheme needs at least one band")
         prev_hi = 0.0
-        for label, lo, hi in self.bands:
+        for k, (label, lo, hi) in enumerate(self.bands):
+            if label in self.labels[:k]:
+                raise ValueError(f"band label {label!r} is repeated; labels must be unique")
             if lo >= hi:
                 raise ValueError(f"band {label!r}: lower {lo} must be below upper {hi}")
             if abs(lo - prev_hi) > 1e-12:
@@ -158,7 +158,7 @@ def forward_cloud(c: CloudParams, n: int, seed: int) -> DropletSet:
     """
     x, enp = _droplets(c, n, _Normals(_rng(seed)))
     mu = np.ones(n) if enp is None else np.exp(-((x - c.ex) ** 2) / (2.0 * enp**2))
-    return DropletSet(x=x, mu=mu, seed=int(seed), source=c, en_prime=enp)
+    return DropletSet(x=x, mu=mu, en_prime=enp)
 
 
 def backward_cloud(samples: np.ndarray) -> BackwardResult:
@@ -223,25 +223,37 @@ def _mean_membership(x: np.ndarray, b: CloudParams) -> float:
     return float(np.mean(np.exp(-((x - b.ex) ** 2) / (2.0 * b.en**2))))
 
 
+def _similarities(clouds: list[CloudParams], ref: CloudParams, n: int, forward: _Normals,
+                  backward: _Normals) -> list[float]:
+    """Similarity of each cloud to ref, in order.
+
+    Each cloud's n droplets, read from `forward`, are scored under ref's
+    expectation curve; when the cloud has En > 0 that is averaged with ref's n
+    droplets, read once from `backward`, scored under the cloud's curve.
+    """
+    if n < MIN_DROPLETS:
+        raise ValueError(f"similarity needs at least {MIN_DROPLETS} droplets, got {n}")
+    if ref.en == 0:
+        if any(c != ref for c in clouds):
+            raise ValueError("reference cloud has En = 0; its expectation curve is degenerate")
+        return [1.0] * len(clouds)
+    rx = _droplets(ref, n, backward)[0] if any(c.en > 0 for c in clouds) else None
+    sims = []
+    for c in clouds:
+        sim = _mean_membership(_droplets(c, n, forward)[0], ref)
+        sims.append(0.5 * (sim + _mean_membership(rx, c)) if c.en > 0 else sim)
+    return sims
+
+
 def cloud_similarity(a: CloudParams, b: CloudParams, n: int = 20_000, seed: int = 0) -> float:
     """Droplet-membership similarity in [0,1].
 
     Droplets generated from a are scored under b's expectation curve
     mu_b(x) = exp(-(x - Ex_b)^2 / (2 En_b^2)); when both clouds have positive
     entropy the two directions are averaged (symmetrized form). Deterministic
-    for a fixed (n, seed).
+    for a fixed (n, seed); n must be at least MIN_DROPLETS.
     """
-    if n < 1000:
-        raise ValueError("similarity needs at least 1000 droplets")
-    if b.en == 0:
-        if a == b:
-            return 1.0
-        raise ValueError("reference cloud has En = 0; its expectation curve is degenerate")
-    forward = _mean_membership(_droplets(a, n, _Normals(_rng(seed, 0)))[0], b)
-    if a.en == 0:
-        return forward
-    backward = _mean_membership(_droplets(b, n, _Normals(_rng(seed, 1)))[0], a)
-    return 0.5 * (forward + backward)
+    return _similarities([a], b, n, _Normals(_rng(seed, 0)), _Normals(_rng(seed, 1)))[0]
 
 
 def grade_clouds(clouds: list[CloudParams], scheme: GradeScheme = DEFAULT_SCHEME,
@@ -256,15 +268,13 @@ def grade_clouds(clouds: list[CloudParams], scheme: GradeScheme = DEFAULT_SCHEME
     are drawn once and every cloud is scored on them, one band at a time. These
     are the same common random numbers for every cloud, so a cloud's table does
     not depend on which other clouds are graded with it. Exact ties are broken
-    toward the higher band.
+    toward the higher band. n must be at least MIN_DROPLETS.
     """
     tables: list[dict[str, float]] = [{} for _ in clouds]
     for k, (label, gc) in enumerate(scheme.clouds()):
-        forward = _Normals(_rng(seed, 2, k))
-        gx, _ = _droplets(gc, n, _Normals(_rng(seed, 3, k)))
-        for c, table in zip(clouds, tables):
-            sim = _mean_membership(_droplets(c, n, forward)[0], gc)
-            table[label] = 0.5 * (sim + _mean_membership(gx, c)) if c.en > 0 else sim
+        sims = _similarities(clouds, gc, n, _Normals(_rng(seed, 2, k)), _Normals(_rng(seed, 3, k)))
+        for table, sim in zip(tables, sims):
+            table[label] = sim
     return [(_best_label(table), table) for table in tables]
 
 

@@ -65,7 +65,6 @@ class RepairConfig:
 @dataclass
 class RepairTrace:
     distances: list[float] = field(default_factory=list)
-    relations: list[np.ndarray] = field(default_factory=list)
     final_cr: float | None = None
 
     @property
@@ -99,17 +98,6 @@ def validate_judgment(j: np.ndarray, tol: float = _SCALE_TOL) -> None:
         raise ValueError(f"reciprocity violated at cell ({i + 1},{k + 1})")
 
 
-def validate_preference(p: np.ndarray, tol: float = _SCALE_TOL) -> None:
-    """Check 0.5 diagonal and complementarity p_ij + p_ji = 1."""
-    p = _check_square(p, "preference relation")
-    if (p <= 0).any() or (p >= 1).any():
-        raise ValueError("preference entries must lie strictly in (0,1)")
-    if np.abs(np.diag(p) - 0.5).max() > tol:
-        raise ValueError("preference diagonal must be 0.5")
-    if np.abs(p + p.T - 1.0).max() > tol:
-        raise ValueError("complementarity p_ij + p_ji = 1 violated")
-
-
 def to_preference(j: np.ndarray) -> np.ndarray:
     """Map every on-scale entry through the 17-knot table (1/9 -> 0.1, ..., 9 -> 0.9).
 
@@ -118,8 +106,8 @@ def to_preference(j: np.ndarray) -> np.ndarray:
     j = _check_square(j, "judgment matrix")
     diffs = np.abs(j[..., None] - SAATY_VALUES)
     idx = diffs.argmin(axis=-1)
-    if (np.take_along_axis(diffs, idx[..., None], axis=-1)[..., 0] > _SCALE_TOL).any():
-        off = np.take_along_axis(diffs, idx[..., None], axis=-1)[..., 0] > _SCALE_TOL
+    off = np.take_along_axis(diffs, idx[..., None], axis=-1)[..., 0] > _SCALE_TOL
+    if off.any():
         i, k = np.argwhere(off)[0]
         raise ValueError(
             f"entry {j[i, k]!r} at cell ({i + 1},{k + 1}) is not on the 1/9..9 scale"
@@ -212,8 +200,7 @@ def repair_step(p: np.ndarray, pbar: np.ndarray, sigma: float) -> np.ndarray:
     return num / (num + den)
 
 
-def auto_correct(j: np.ndarray, cfg: RepairConfig | None = None, keep_relations: bool = False
-                 ) -> tuple[np.ndarray, RepairTrace]:
+def auto_correct(j: np.ndarray, cfg: RepairConfig | None = None) -> tuple[np.ndarray, RepairTrace]:
     """Repair a judgment matrix until the reference distance drops under tau.
 
     Loops preference transform -> consistent reference -> distance test ->
@@ -230,8 +217,6 @@ def auto_correct(j: np.ndarray, cfg: RepairConfig | None = None, keep_relations:
         pbar = consistent_reference(p)
         d = preference_distance(p, pbar)
         trace.distances.append(d)
-        if keep_relations:
-            trace.relations.append(p.copy())
         if d < cfg.tau:
             converged = True
             break
@@ -257,17 +242,13 @@ def auto_correct(j: np.ndarray, cfg: RepairConfig | None = None, keep_relations:
     return repaired, trace
 
 
-def principal_weights(j: np.ndarray, ids=None, require_consistent: bool = False) -> WeightVector:
+def principal_weights(j: np.ndarray, ids=None) -> WeightVector:
     """Normalized dominant eigenvector of a positive reciprocal matrix.
 
     Power iteration; the Perron eigenpair of a positive matrix is simple, so
     convergence is guaranteed. `ids` labels the components (defaults i1..in).
     """
     validate_judgment(j)
-    if require_consistent:
-        _, _, cr = consistency_ratio(j)
-        if cr >= 0.1:
-            raise ValueError(f"judgment matrix fails consistency (CR = {cr:.4f})")
     w, _ = _power_iteration(np.asarray(j, dtype=float))
     if ids is None:
         ids = tuple(f"i{k + 1}" for k in range(len(w)))

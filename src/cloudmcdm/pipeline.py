@@ -15,7 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -143,20 +143,8 @@ class EvaluationReport:
     tool_version: str = __version__
 
     def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "seed": self.seed,
-            "aggregation": self.aggregation,
-            "hierarchy_digest": self.hierarchy_digest,
-            "scheme": self.scheme,
-            "weights": self.weights,
-            "criterion_clouds": self.criterion_clouds,
-            "comprehensive_cloud": self.comprehensive_cloud,
-            "grade": self.grade,
-            "similarity": self.similarity,
-            "fce": self.fce,
-            "tool_version": self.tool_version,
-        }
+        """One key per field, in field order; the values are shared, not copied."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def to_json_bytes(self) -> bytes:
         """The report.json bytes: sorted keys, every float at REPORT_DIGITS
@@ -176,15 +164,11 @@ class EvaluationReport:
             if abs(total - 1.0) > 1e-9 or any(v < -1e-12 for v in table.values()):
                 raise ValueError(f"weight table leaves the simplex (sum {total})")
 
-    @staticmethod
-    def from_dict(doc: dict) -> "EvaluationReport":
-        return EvaluationReport(
-            scenario=doc["scenario"], seed=doc["seed"], aggregation=doc["aggregation"],
-            hierarchy_digest=doc["hierarchy_digest"], scheme=doc["scheme"], weights=doc["weights"],
-            criterion_clouds=doc["criterion_clouds"], comprehensive_cloud=doc["comprehensive_cloud"],
-            grade=doc["grade"], similarity=doc["similarity"], fce=doc["fce"],
-            tool_version=doc.get("tool_version", __version__),
-        )
+    @classmethod
+    def from_dict(cls, doc: dict) -> "EvaluationReport":
+        """Inverse of `to_dict`: a missing required key raises KeyError, unknown
+        keys are ignored, and an absent tool_version defaults to this version."""
+        return cls(**{f.name: doc[f.name] for f in fields(cls) if f.name in doc or f.default is MISSING})
 
 
 def _round_floats(doc):

@@ -177,6 +177,12 @@ def test_scheme_rejects_gaps_and_overlaps():
         GradeScheme(bands=(("a", 0.0, 90.0),))
 
 
+def test_scheme_rejects_repeated_label():
+    # a repeated label would let the later band's similarity overwrite the earlier one's
+    with pytest.raises(ValueError, match="'low' is repeated"):
+        GradeScheme(bands=(("low", 0.0, 50.0), ("low", 50.0, 100.0)))
+
+
 # -- aggregation -------------------------------------------------------------
 
 def test_single_child_identity():
@@ -328,3 +334,15 @@ def test_grading_zero_entropy_with_hyper_entropy_rejected():
         grade_clouds([CloudParams(70, 4, 1), CloudParams(85, 0, 1)], DEFAULT_SCHEME, n=1000)
     with pytest.raises(ValueError, match="En = 0"):
         assign_grade(CloudParams(85, 0, 1), DEFAULT_SCHEME, n=1000)
+
+
+def test_grading_needs_the_droplet_minimum():
+    c = CloudParams(70, 4, 1)
+    with pytest.raises(ValueError, match="at least 1000 droplets, got 999"):
+        grade_clouds([c], DEFAULT_SCHEME, n=999)
+    with pytest.raises(ValueError, match="at least 1000 droplets, got 10"):
+        assign_grade(c, DEFAULT_SCHEME, n=10)
+    with pytest.raises(ValueError, match="at least 1000 droplets, got 999"):
+        cloud_similarity(c, c, n=999)
+    assert assign_grade(c, DEFAULT_SCHEME, n=1000)[0] == "fair"
+    assert forward_cloud(c, 10, seed=0).x.size == 10  # drawing droplets has no minimum

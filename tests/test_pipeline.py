@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cloudmcdm import __version__
 from cloudmcdm.cli import main as cli_main
 from cloudmcdm.pipeline import (
     EvaluationReport,
@@ -81,6 +82,17 @@ def test_demo_scenarios_are_directional(report_before, report_after):
     cmp = compare_scenarios(report_before, report_after)
     assert cmp["flags"] == {"ex_increases": True, "en_decreases": True, "he_decreases": True}
     assert set(cmp["criteria"]) == {f"C{k}" for k in range(1, 8)}
+
+
+def test_report_dict_contract(report_before):
+    doc = report_before.to_dict()
+    assert EvaluationReport.from_dict(doc) == report_before
+    missing = {k: v for k, v in doc.items() if k != "grade"}
+    with pytest.raises(KeyError, match="grade"):
+        EvaluationReport.from_dict(missing)
+    assert EvaluationReport.from_dict(dict(doc, diagnostics={"x": 1})) == report_before
+    old = EvaluationReport.from_dict({k: v for k, v in doc.items() if k != "tool_version"})
+    assert old.tool_version == __version__
 
 
 def test_comparison_rejects_different_scheme(report_before):
@@ -174,6 +186,27 @@ def test_out_of_range_rating_exits_2(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "outside [0, 100]" in err and "'s3'" in err and "'C15'" in err and "150.0" in err
+
+
+def test_too_few_droplets_exits_2(tmp_path, capsys):
+    _copy_demo(tmp_path)
+    cfg = tmp_path / "config_before.json"
+    cfg.write_text(json.dumps(dict(json.loads(cfg.read_text()), droplets=999)))
+    rc = cli_main(["evaluate", str(cfg)])
+    assert rc == 2
+    assert "at least 1000 droplets, got 999" in capsys.readouterr().err
+    # exporting droplets grades nothing, so any count is accepted
+    assert cli_main(["droplets", str(cfg), "--level", "comprehensive", "--n", "10"]) == 0
+
+
+def test_repeated_band_label_exits_2(tmp_path, capsys):
+    _copy_demo(tmp_path)
+    scheme = {"he_ratio": 0.1, "bands": [{"label": "low", "lower": 0, "upper": 50},
+                                         {"label": "low", "lower": 50, "upper": 100}]}
+    (tmp_path / "scheme.json").write_text(json.dumps(scheme))
+    rc = cli_main(["evaluate", str(tmp_path / "config_before.json")])
+    assert rc == 2
+    assert "band label 'low' is repeated" in capsys.readouterr().err
 
 
 def test_duplicated_indicator_column_exits_2(tmp_path, capsys):
