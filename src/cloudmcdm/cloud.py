@@ -31,6 +31,8 @@ class CloudParams:
     he: float
 
     def __post_init__(self):
+        for name in ("ex", "en", "he"):  # floats, so an En = 0 cloud's droplets are float64 too
+            object.__setattr__(self, name, float(getattr(self, name)))
         if not np.isfinite(self.ex):
             raise ValueError("Ex must be finite")
         if self.en < 0 or self.he < 0:

@@ -367,9 +367,11 @@ def run_pipeline(config: PipelineConfig | str | Path, out_dir: str | Path | None
 
 
 def droplets_csv_bytes(drops) -> bytes:
-    lines = ["x,mu"]
-    lines += [f"{repr(float(x))},{repr(float(mu))}" for x, mu in zip(drops.x, drops.mu)]
-    return ("\n".join(lines) + "\n").encode()
+    """`x,mu` header, then one row per droplet with each value as its shortest round-trip repr."""
+    n = len(drops.x)
+    xmu = np.empty(2 * n)  # float64, so an integer value still reads 50.0
+    xmu[0::2], xmu[1::2] = drops.x, drops.mu
+    return (("x,mu\n" + "%r,%r\n" * n) % tuple(xmu.tolist())).encode()
 
 
 def compare_scenarios(a: EvaluationReport | dict, b: EvaluationReport | dict) -> dict:

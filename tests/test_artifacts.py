@@ -1,0 +1,161 @@
+"""The droplets.csv and diagram.svg writers: byte-equal to the per-droplet code
+they replaced, and a full run with artifacts at the engine's limits."""
+
+import json
+import xml.etree.ElementTree as ET
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import REPO
+
+from cloudmcdm import svgplot
+from cloudmcdm.cloud import DEFAULT_SCHEME, CloudParams, forward_cloud
+from cloudmcdm.pipeline import droplets_csv_bytes, run_pipeline
+from cloudmcdm.svgplot import cloud_diagram
+
+
+# -- reference: one droplet at a time ------------------------------------------
+# The writers before they formatted in bulk, kept verbatim.
+
+_W, _H = 760, 420
+_ML, _MR, _MT, _MB = 60, 20, 20, 50
+
+
+def reference_px(score: float) -> float:
+    return _ML + (score / 100.0) * (_W - _ML - _MR)
+
+
+def reference_py(mu: float) -> float:
+    return _H - _MB - mu * (_H - _MT - _MB)
+
+
+def reference_dots(xs, mus, color: str, r: float, opacity: float) -> list[str]:
+    return [
+        f'<circle cx="{reference_px(float(x)):.2f}" cy="{reference_py(float(m)):.2f}" r="{r}" '
+        f'fill="{color}" fill-opacity="{opacity}"/>'
+        for x, m in zip(xs, mus)
+    ]
+
+
+def reference_droplets_csv_bytes(drops) -> bytes:
+    lines = ["x,mu"]
+    lines += [f"{repr(float(x))},{repr(float(mu))}" for x, mu in zip(drops.x, drops.mu)]
+    return ("\n".join(lines) + "\n").encode()
+
+
+def assert_writers_match(xs, mus):
+    drops = SimpleNamespace(x=xs, mu=mus)
+    assert droplets_csv_bytes(drops) == reference_droplets_csv_bytes(drops)
+    style = ("#1f3d7a", 1.5, 0.7)
+    assert svgplot._dots(xs, mus, *style) == "\n".join(reference_dots(xs, mus, *style))
+
+
+# the comprehensive cloud of data/demo/config_before.json comes from the
+# report_before fixture; these are the degenerate and off-axis cases
+CLOUDS = [
+    CloudParams(50, 0, 0),  # En = He = 0, integer Ex
+    CloudParams(83.5, 0.0, 0.0),  # En = He = 0
+    CloudParams(70, 4, 0),  # He = 0
+    CloudParams(60, 0.5, 5),  # He >> En
+    CloudParams(50, 1, 3),  # heavy truncation
+    CloudParams(2, 5, 1),  # droplets below 0
+    CloudParams(98, 5, 1),  # droplets above 100
+]
+
+
+@pytest.mark.parametrize("n", [1, 999, 1000, 20_000])
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_writers_match_reference(report_before, seed, n):
+    for c in [CloudParams(**report_before.comprehensive_cloud), *CLOUDS]:
+        drops = forward_cloud(c, n, seed)
+        assert_writers_match(drops.x, drops.mu)
+
+
+def test_integer_droplets_are_floats():
+    drops = forward_cloud(CloudParams(50, 0, 0), 3, 0)
+    assert drops.x.dtype == np.float64 and drops.mu.dtype == np.float64
+    assert droplets_csv_bytes(drops) == b"x,mu\n50.0,1.0\n50.0,1.0\n50.0,1.0\n"
+    # an integer array handed to the writer is still written as floats
+    ints = SimpleNamespace(x=np.full(2, 50), mu=np.ones(2, dtype=int))
+    assert droplets_csv_bytes(ints) == reference_droplets_csv_bytes(ints) == b"x,mu\n50.0,1.0\n50.0,1.0\n"
+
+
+def _near_ties(to_value, lo: float, hi: float, ulps: int = 4) -> np.ndarray:
+    """Values whose pixel lies a few ulps either side of a 2-decimal rounding tie.
+
+    Any change to the order of the pixel arithmetic moves some of these
+    values across their tie, so the formatted coordinate changes.
+    """
+    ties = (np.arange(round(lo * 100), round(hi * 100), 37) + 0.5) / 100.0
+    v = to_value(ties)
+    below, above = v.copy(), v.copy()
+    out = [v]
+    for _ in range(ulps):
+        below, above = np.nextafter(below, -np.inf), np.nextafter(above, np.inf)
+        out += [below, above]
+    return np.concatenate(out)
+
+
+def test_dots_match_reference_at_rounding_ties():
+    x = _near_ties(lambda px: (px - _ML) / (_W - _ML - _MR) * 100.0, _ML, _W - _MR)
+    mu = _near_ties(lambda py: (_H - _MB - py) / (_H - _MT - _MB), _MT, _H - _MB)
+    assert_writers_match(x, np.resize(mu, x.size))
+    assert_writers_match(np.resize(x, mu.size), mu)
+
+
+_OFF_EDGE = [float(v) for edge in (0.0, 1.0, 100.0)
+             for v in (np.nextafter(edge, -np.inf), edge, np.nextafter(edge, np.inf))]
+_finite = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=1e16, max_value=1e300).flatmap(lambda v: st.sampled_from([v, -v])),
+    st.sampled_from(_OFF_EDGE + [-0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_finite, _finite), min_size=1, max_size=40))
+def test_writers_match_reference_on_any_finite_floats(pairs):
+    xs, mus = (np.array(v, dtype=np.float64) for v in zip(*pairs))
+    assert_writers_match(xs, mus)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_diagram_matches_reference_dots(report_before, monkeypatch, seed):
+    c = CloudParams(**report_before.comprehensive_cloud)
+    svg = cloud_diagram(c, DEFAULT_SCHEME, seed=seed)
+    circles = ET.fromstring(svg).findall("{http://www.w3.org/2000/svg}circle")
+    assert len(circles) == svgplot.N_CLOUD + len(DEFAULT_SCHEME.bands) * svgplot.N_GRADE
+    monkeypatch.setattr(svgplot, "_dots", lambda *args, **kw: "\n".join(reference_dots(*args, **kw)))
+    assert cloud_diagram(c, DEFAULT_SCHEME, seed=seed) == svg
+
+
+# -- the engine's limits -----------------------------------------------------------
+
+def test_scaled_run_writes_complete_artifacts(tmp_path, monkeypatch):
+    # 15 x 15 leaves, 1000 objects, 2000 rating samples, 16 order-15 matrices to repair
+    monkeypatch.syspath_prepend(str(REPO / "perfbench"))
+    import scaled_inputs
+
+    scaled_inputs.generate(1, tmp_path / "in")
+    config = tmp_path / "in" / "config.json"
+    report = run_pipeline(config, out_dir=tmp_path / "out")
+
+    droplets = json.loads(config.read_text())["droplets"]
+    rows = (tmp_path / "out" / "droplets.csv").read_bytes().split(b"\n")
+    assert rows[0] == b"x,mu" and rows[-1] == b"" and len(rows) - 1 == droplets + 1
+
+    svg = (tmp_path / "out" / "diagram.svg").read_text(encoding="utf-8")
+    assert svg.endswith("</svg>\n")
+    ET.fromstring(svg)  # a complete, well-formed document
+
+    w = report.weights
+    assert np.hypot(*w["theta"].values()) == pytest.approx(1.0)  # mixing coefficients, unit norm
+    tables = [*w["criterion"].values(), *w["indicator_global"].values(),
+              *w["indicator_local_combined"].values()]
+    assert len(tables) == 3 + 3 + 15
+    for table in tables:
+        assert sum(table.values()) == pytest.approx(1.0, abs=1e-9)
