@@ -16,7 +16,7 @@ ratings = np.clip(forward_cloud(CloudParams(82, 6, 1.5), 200, seed=7).x, 0, 100)
 concept = indicator_cloud(ratings)
 print(f"estimated cloud: Ex={concept.ex:.3f}  En={concept.en:.3f}  He={concept.he:.3f}")
 
-label, similarities = assign_grade(concept, DEFAULT_SCHEME, n=20_000, seed=0)
+label, similarities = assign_grade(concept, DEFAULT_SCHEME)
 print("similarity to each grade band:")
 for band, s in similarities.items():
     marker = "  <-- assigned" if band == label else ""

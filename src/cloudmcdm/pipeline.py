@@ -24,6 +24,7 @@ from . import __version__
 from .cloud import (
     CloudParams,
     DEFAULT_SCHEME,
+    MIN_DROPLETS,
     GradeScheme,
     aggregate_clouds,
     assign_grade,  # unused; stays bound because perfbench/spans.py wraps pipeline.assign_grade by name
@@ -41,10 +42,10 @@ from .iahp import RepairConfig, auto_correct, load_judgment_csv, principal_weigh
 
 ENV_SEED = "CLOUDMCDM_SEED"
 
-# Significant digits of every float in report.json. The Monte Carlo similarities
-# take the mean of numpy's SIMD exp, whose last ulp depends on the numpy build and
+# Significant digits of every float in report.json. The similarities sum numpy's
+# SIMD exp over quadrature nodes, and its last ulp depends on the numpy build and
 # the CPU; a 1-ulp change in any demo report value does not change it at 12 digits,
-# and the similarities carry a standard error of about 1e-3.
+# and the quadrature itself is only accurate to about 1e-14.
 REPORT_DIGITS = 12
 
 
@@ -313,13 +314,14 @@ def run_pipeline(config: PipelineConfig | str | Path, out_dir: str | Path | None
     diagram.svg there.
     """
     cfg = config if isinstance(config, PipelineConfig) else PipelineConfig.from_json(config)
+    if cfg.droplets < MIN_DROPLETS:
+        raise ValueError(f"droplets.csv needs at least {MIN_DROPLETS} droplets, got {cfg.droplets}")
     inputs = load_inputs(cfg)
     ws = compute_weights(inputs, cfg)
     h = inputs.hierarchy
     leaf_clouds, crit_clouds, comprehensive = score_clouds(inputs, ws, cfg)
 
-    (grade, sim_table), *crit_grades = grade_clouds(
-        [comprehensive, *crit_clouds.values()], inputs.scheme, n=cfg.droplets, seed=cfg.seed)
+    (grade, sim_table), *crit_grades = grade_clouds([comprehensive, *crit_clouds.values()], inputs.scheme)
     crit_entries = {cid: {"ex": cloud.ex, "en": cloud.en, "he": cloud.he, "grade": g, "similarity": table}
                     for (cid, cloud), (g, table) in zip(crit_clouds.items(), crit_grades)}
 

@@ -154,7 +154,7 @@ def test_criterion_07_similarity_analytic():
 def test_criterion_08_grade_self_identity():
     hits = 0
     for label, gc in DEFAULT_SCHEME.clouds():
-        got, table = assign_grade(gc, DEFAULT_SCHEME, n=20_000, seed=9)
+        got, table = assign_grade(gc, DEFAULT_SCHEME)
         if got == label and table[label] == max(table.values()):
             hits += 1
     verdict(8, "grade clouds identify themselves", hits == 4, f"{hits}/4 bands")

@@ -20,7 +20,7 @@ GOLDEN = Path(__file__).resolve().parent / "golden" / "report_before.json"
 
 
 def test_golden_report_regression(report_before):
-    # the first-build freeze with every float rounded to REPORT_DIGITS significant
+    # frozen when grading became exact, with every float at REPORT_DIGITS significant
     # digits; any change to the numeric pipeline larger than that rounding shows up here
     assert report_before.to_json_bytes() == GOLDEN.read_bytes()
 
@@ -127,6 +127,24 @@ def test_evaluate_cli_deterministic(tmp_path):
     cli_main(["evaluate", str(DEMO / "config_before.json"), "--out", str(tmp_path / "b")])
     for name in ("report.json", "droplets.csv", "diagram.svg"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_grades_do_not_depend_on_seed_or_droplets(tmp_path, capsys):
+    # grading draws no droplets: only droplets.csv and diagram.svg read the seed and count
+    _copy_demo(tmp_path)
+    cfg = tmp_path / "config_before.json"
+    cfg.write_text(json.dumps(dict(json.loads(cfg.read_text()), droplets=1000)))
+    reports = []
+    for argv in (["--seed", "0", "evaluate", str(DEMO / "config_before.json")],
+                 ["--seed", "1", "evaluate", str(cfg)]):
+        assert cli_main(argv) == 0
+        reports.append(json.loads(capsys.readouterr().out))
+    a, b = reports
+    assert (a["seed"], b["seed"]) == (0, 1)
+    assert a["grade"] == b["grade"] and a["similarity"] == b["similarity"]
+    for cid, cloud in a["criterion_clouds"].items():
+        assert cloud["grade"] == b["criterion_clouds"][cid]["grade"]
+        assert cloud["similarity"] == b["criterion_clouds"][cid]["similarity"]
 
 
 def _copy_demo(dst: Path) -> None:
