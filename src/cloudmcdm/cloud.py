@@ -20,6 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .dataprep import json_value
+
 # Fewest droplets per direction that a similarity estimate, and fewest rows that an
 # evaluation's droplets.csv, may rest on.
 MIN_DROPLETS = 1000
@@ -95,10 +97,13 @@ DEFAULT_SCHEME = GradeScheme(
 
 
 def load_scheme(path: str | Path) -> GradeScheme:
+    """Read a scheme JSON; a missing or mistyped value is a ValueError naming the file and key."""
     with open(path, encoding="utf-8") as f:
         doc = json.load(f)
-    bands = tuple((str(b["label"]), float(b["lower"]), float(b["upper"])) for b in doc["bands"])
-    return GradeScheme(bands=bands, he_ratio=float(doc.get("he_ratio", 0.1)))
+    bands = tuple(tuple(json_value(path, band, key, convert, where=f"bands[{k}]")
+                        for key, convert in (("label", str), ("lower", float), ("upper", float)))
+                  for k, band in enumerate(json_value(path, doc, "bands", list)))
+    return GradeScheme(bands=bands, he_ratio=json_value(path, doc, "he_ratio", float, 0.1))
 
 
 def _rng(seed: int, *stream: int) -> np.random.Generator:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataprep import NormalizedMatrix
+from .dataprep import DataMatrix
 from .ewm import WeightVector
 
 _FALLBACK_THETA = np.array([1.0, 1.0]) / np.sqrt(2.0)
@@ -25,7 +25,7 @@ class CombinationResult:
     objective_value: float              # attained deviation square sum, theta' M theta
 
 
-def deviation_matrix(z: NormalizedMatrix) -> np.ndarray:
+def deviation_matrix(z: DataMatrix) -> np.ndarray:
     """B = sum over ordered object pairs (i, l) of (z_i - z_l)(z_i - z_l)^T.
 
     Symmetric PSD; zero for a single object. Both orderings of each pair are
@@ -39,7 +39,7 @@ def deviation_matrix(z: NormalizedMatrix) -> np.ndarray:
     return (b + b.T) / 2.0
 
 
-def combine_weights(ws: WeightVector, wo: WeightVector, z: NormalizedMatrix) -> CombinationResult:
+def combine_weights(ws: WeightVector, wo: WeightVector, z: DataMatrix) -> CombinationResult:
     """Fuse subjective and objective weights over the normalized data matrix.
 
     theta solves max theta' (W' B W) theta subject to |theta| = 1, theta >= 0,
@@ -69,6 +69,6 @@ def combine_weights(ws: WeightVector, wo: WeightVector, z: NormalizedMatrix) -> 
     wc = w @ theta
     wc = wc / wc.sum()
     value = float(theta @ m2 @ theta)
-    combined = WeightVector(ws.indicator_ids, wc, kind="combined")
+    combined = WeightVector(ws.indicator_ids, wc)
     return CombinationResult(theta=(float(theta[0]), float(theta[1])), combined=combined,
                              objective_value=value)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass
 from pathlib import Path
 from typing import Mapping
 
@@ -28,11 +28,7 @@ class DataMatrix:
             )
 
 
-# A normalized matrix has the same structure; the distinction is the [0,1] contract.
-NormalizedMatrix = DataMatrix
-
-
-def min_max_normalize(d: DataMatrix, directions: Mapping[str, str]) -> NormalizedMatrix:
+def min_max_normalize(d: DataMatrix, directions: Mapping[str, str]) -> DataMatrix:
     """Column-wise min-max scaling to [0,1].
 
     benefit: (x - min) / (max - min); cost: (max - x) / (max - min).
@@ -68,6 +64,22 @@ def min_max_normalize(d: DataMatrix, directions: Mapping[str, str]) -> Normalize
 # Characters that keep a file off the bulk path: quotes and CR need the csv
 # reader, and numpy strips \x1c-\x1f as whitespace where float() rejects them.
 _NOT_PLAIN = '"\r\x1c\x1d\x1e\x1f'
+
+
+def json_value(path: str | Path, doc, key: str, convert, default=MISSING, where: str = ""):
+    """`convert(doc[key])`, or `convert(default)` when the key is absent and a default
+    is given. A `doc` that is not a JSON object, a missing required key and a value
+    `convert` rejects are ValueErrors naming the file and key at `where` in it."""
+    name = f"{where}.{key}" if where else key
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: {where or 'the document'} must be a JSON object, got {doc!r}")
+    if key not in doc and default is MISSING:
+        raise ValueError(f"{path}: missing required key {name!r}")
+    value = doc.get(key, default)
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{path}: invalid value {value!r} for key {name!r}") from None
 
 
 def read_csv_rows(path: str | Path) -> list[list[str]]:

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataprep import NormalizedMatrix
+from .dataprep import DataMatrix
 
 _SIMPLEX_TOL = 1e-9
 
@@ -15,7 +15,6 @@ _SIMPLEX_TOL = 1e-9
 class WeightVector:
     indicator_ids: tuple[str, ...]
     weights: np.ndarray
-    kind: str  # subjective | objective | combined
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
@@ -31,7 +30,7 @@ class WeightVector:
         return {i: float(w) for i, w in zip(self.indicator_ids, self.weights)}
 
 
-def entropy_weights(z: NormalizedMatrix) -> tuple[WeightVector, np.ndarray]:
+def entropy_weights(z: DataMatrix) -> tuple[WeightVector, np.ndarray]:
     """Objective weights from per-column information entropy.
 
     p_ij = z_ij / sum_i z_ij, e_j = -(1/ln m) * sum_i p_ij ln p_ij (0*ln0 := 0),
@@ -59,4 +58,4 @@ def entropy_weights(z: NormalizedMatrix) -> tuple[WeightVector, np.ndarray]:
     d = np.where(d < 1e-12, 0.0, d)  # snap fp noise at e ~ 1 to an exact zero
     total = d.sum()
     w = np.full(n, 1.0 / n) if total == 0 else d / total
-    return WeightVector(z.indicator_ids, w, kind="objective"), e
+    return WeightVector(z.indicator_ids, w), e

@@ -1,14 +1,17 @@
 """Three-layer evaluation index tree: objective -> criterion -> indicator.
 
-The tree fixes the column order used by every downstream matrix: leaves are
-enumerated depth-first in declared child order, so the same hierarchy always
-produces the same indicator ordering.
+The tree has exactly three layers: one objective (the root), its criteria, and
+the indicators (leaves) under each criterion. It fixes the column order used by
+every downstream matrix: the leaves are the criteria in declared order, each
+expanded to its children in declared order. Judgment matrices follow the same
+order: the criterion matrix is in criteria order, and each criterion's matrix
+is in the order of that criterion's leaves.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 LAYERS = ("objective", "criterion", "indicator")
@@ -30,12 +33,6 @@ class IndicatorNode:
 class IndexHierarchy:
     nodes: dict[str, IndicatorNode]
     root_id: str
-
-    def node(self, node_id: str) -> IndicatorNode:
-        try:
-            return self.nodes[node_id]
-        except KeyError:
-            raise KeyError(f"unknown node id {node_id!r}") from None
 
     def criterion_ids(self) -> list[str]:
         return list(self.nodes[self.root_id].children)
@@ -113,61 +110,47 @@ def validate_hierarchy(h: IndexHierarchy) -> list[str]:
 
 
 def leaf_indicators(h: IndexHierarchy, criterion_id: str | None = None) -> list[str]:
-    """Ordered leaf ids (depth-first, declared child order).
+    """Ordered leaf ids: the criteria in declared order, each expanded to its
+    children in declared order.
 
-    With `criterion_id`, restricted to that criterion's subtree.
+    With `criterion_id`, only that criterion's children.
     """
-    if criterion_id is not None:
-        node = h.node(criterion_id)
-        if node.layer != "criterion":
-            raise KeyError(f"{criterion_id!r} is not a criterion node")
-        start = [criterion_id]
-    else:
-        start = [h.root_id]
-    leaves: list[str] = []
-
-    def walk(nid: str) -> None:
-        node = h.nodes[nid]
-        if node.layer == "indicator":
-            leaves.append(nid)
-        for c in node.children:
-            walk(c)
-
-    for nid in start:
-        walk(nid)
-    return leaves
+    if criterion_id is None:
+        return [leaf for cid in h.criterion_ids() for leaf in h.nodes[cid].children]
+    node = h.nodes.get(criterion_id)
+    if node is None or node.layer != "criterion":
+        raise KeyError(f"{criterion_id!r} is not a criterion node")
+    return list(node.children)
 
 
-def _parse_node(obj: dict, parent_id: str | None, depth: int, nodes: dict[str, IndicatorNode]) -> str:
-    layer = LAYERS[min(depth, 2)]
-    children_objs = obj.get("children", [])
-    if depth >= 2 and children_objs:
-        raise ValueError(f"node {obj.get('id')!r}: nesting deeper than three layers is not supported")
+def _parse_node(obj, parent_id: str | None, depth: int, nodes: dict[str, IndicatorNode]) -> str:
+    if not isinstance(obj, dict) or "id" not in obj:
+        where = "the root" if parent_id is None else f"a child of {parent_id!r}"
+        raise ValueError(f"{where} must be a JSON object with an 'id', got {obj!r:.80}")
     nid = str(obj["id"])
+    children_objs = obj.get("children", [])
+    if not isinstance(children_objs, list):
+        raise ValueError(f"node {nid!r}: 'children' must be a list, got {children_objs!r}")
+    if depth >= 2 and children_objs:
+        raise ValueError(f"node {nid!r}: nesting deeper than three layers is not supported")
     if nid in nodes:
         raise ValueError(f"duplicate node id {nid!r}")
-    child_ids = []
-    node = IndicatorNode(
+    nodes[nid] = None  # reserve the pre-order slot; the node is built once its children are
+    children = tuple(_parse_node(c, nid, depth + 1, nodes) for c in children_objs)
+    nodes[nid] = IndicatorNode(
         id=nid,
         label=str(obj.get("label", nid)),
-        layer=layer,
+        layer=LAYERS[depth],
         direction=obj.get("direction") if not children_objs else None,
         parent_id=parent_id,
-        children=(),
-    )
-    nodes[nid] = node
-    for c in children_objs:
-        child_ids.append(_parse_node(c, nid, depth + 1, nodes))
-    nodes[nid] = IndicatorNode(
-        id=nid, label=node.label, layer=layer, direction=node.direction,
-        parent_id=parent_id, children=tuple(child_ids),
+        children=children,
     )
     return nid
 
 
 def parse_hierarchy(doc: dict) -> IndexHierarchy:
     """Build a hierarchy from the nested-JSON document form {"root": {...}}."""
-    if "root" not in doc:
+    if not isinstance(doc, dict) or "root" not in doc:
         raise ValueError("hierarchy document must have a 'root' object")
     nodes: dict[str, IndicatorNode] = {}
     root_id = _parse_node(doc["root"], None, 0, nodes)
@@ -176,4 +159,8 @@ def parse_hierarchy(doc: dict) -> IndexHierarchy:
 
 def load_hierarchy(path: str | Path) -> IndexHierarchy:
     with open(path, encoding="utf-8") as f:
-        return parse_hierarchy(json.load(f))
+        doc = json.load(f)
+    try:
+        return parse_hierarchy(doc)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None

@@ -212,23 +212,18 @@ def auto_correct(j: np.ndarray, cfg: RepairConfig | None = None) -> tuple[np.nda
     validate_judgment(j)
     trace = RepairTrace()
     p = to_preference(j)
-    converged = False
-    for _ in range(cfg.max_iter + 1):
+    while True:
         pbar = consistent_reference(p)
-        d = preference_distance(p, pbar)
-        trace.distances.append(d)
-        if d < cfg.tau:
-            converged = True
+        trace.distances.append(preference_distance(p, pbar))
+        if trace.distances[-1] < cfg.tau:
             break
-        if len(trace.distances) > cfg.max_iter:
-            break
+        if trace.iterations == cfg.max_iter:
+            raise RepairError(
+                f"repair did not reach d < {cfg.tau} within {cfg.max_iter} iterations "
+                f"(last d = {trace.distances[-1]:.4f})",
+                trace,
+            )
         p = repair_step(p, pbar, cfg.sigma)
-    if not converged:
-        raise RepairError(
-            f"repair did not reach d < {cfg.tau} within {cfg.max_iter} iterations "
-            f"(last d = {trace.distances[-1]:.4f})",
-            trace,
-        )
     if trace.iterations == 0:
         repaired = np.asarray(j, dtype=float).copy()
     else:
@@ -252,7 +247,7 @@ def principal_weights(j: np.ndarray, ids=None) -> WeightVector:
     w, _ = _power_iteration(np.asarray(j, dtype=float))
     if ids is None:
         ids = tuple(f"i{k + 1}" for k in range(len(w)))
-    return WeightVector(tuple(ids), w, kind="subjective")
+    return WeightVector(tuple(ids), w)
 
 
 def _power_iteration(a: np.ndarray, tol: float = 1e-12, max_sweeps: int = 10_000

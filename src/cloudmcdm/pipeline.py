@@ -34,7 +34,7 @@ from .cloud import (
     load_scheme,
 )
 from .combiner import combine_weights
-from .dataprep import DataMatrix, load_data_csv, min_max_normalize
+from .dataprep import DataMatrix, json_value, load_data_csv, min_max_normalize
 from .ewm import WeightVector, entropy_weights
 from .fce import fce_score, membership_matrix
 from .hierarchy import IndexHierarchy, leaf_indicators, load_hierarchy, validate_hierarchy
@@ -68,7 +68,8 @@ class PipelineConfig:
     @staticmethod
     def from_json(path: str | Path, seed: int | None = None, sigma: float | None = None,
                   tau: float | None = None) -> "PipelineConfig":
-        """Load a config file; paths resolve relative to the file.
+        """Load a config file; paths resolve relative to the file. A missing or
+        mistyped value is a ValueError naming the file and key.
 
         Seed precedence: explicit argument > config value > CLOUDMCDM_SEED
         environment variable > 0.
@@ -78,32 +79,32 @@ class PipelineConfig:
             doc = json.load(f)
         base = path.parent
 
-        def ref(key):
-            if key not in doc:
-                raise ValueError(f"{path}: config is missing required key {key!r}")
-            return base / doc[key]
+        def value(key, convert, default=MISSING):
+            return json_value(path, doc, key, convert, default)
 
-        if "scenario" not in doc:
-            raise ValueError(f"{path}: config is missing required key 'scenario'")
+        def refs(table):
+            if not isinstance(table, dict):
+                raise TypeError("expected a JSON object")
+            return {k: base / v for k, v in table.items()}
 
         if seed is None:
-            seed = doc.get("seed")
+            seed = value("seed", lambda v: v if v is None else int(v), None)
         if seed is None:
             seed = int(os.environ.get(ENV_SEED, 0))
         return PipelineConfig(
-            scenario=str(doc["scenario"]),
-            hierarchy=ref("hierarchy"),
-            criterion_matrix=ref("criterion_matrix"),
-            indicator_matrices={k: base / v for k, v in doc.get("indicator_matrices", {}).items()},
-            data=ref("data"),
-            ratings=ref("ratings"),
-            scheme=base / doc["scheme"] if "scheme" in doc else None,
+            scenario=value("scenario", str),
+            hierarchy=value("hierarchy", base.joinpath),
+            criterion_matrix=value("criterion_matrix", base.joinpath),
+            indicator_matrices=value("indicator_matrices", refs, {}),
+            data=value("data", base.joinpath),
+            ratings=value("ratings", base.joinpath),
+            scheme=value("scheme", base.joinpath) if "scheme" in doc else None,
             seed=int(seed),
-            droplets=int(doc.get("droplets", 20_000)),
-            aggregation=str(doc.get("aggregation", "linear")),
-            sigma=float(sigma if sigma is not None else doc.get("sigma", 0.8)),
-            tau=float(tau if tau is not None else doc.get("tau", 0.1)),
-            max_iter=int(doc.get("max_iter", 20)),
+            droplets=value("droplets", int, 20_000),
+            aggregation=value("aggregation", str, "linear"),
+            sigma=float(sigma) if sigma is not None else value("sigma", float, 0.8),
+            tau=float(tau) if tau is not None else value("tau", float, 0.1),
+            max_iter=value("max_iter", int, 20),
         )
 
 
@@ -222,7 +223,7 @@ def _subjective_weights(inputs: PipelineInputs, cfg: PipelineConfig
 
     def weights_for(matrix_path: Path, ids: list[str], what: str) -> WeightVector:
         if len(ids) == 1:
-            return WeightVector(tuple(ids), np.array([1.0]), kind="subjective")
+            return WeightVector(tuple(ids), np.array([1.0]))
         j = load_judgment_csv(matrix_path)
         if j.shape[0] != len(ids):
             raise ValueError(f"{matrix_path}: order {j.shape[0]} does not match {len(ids)} {what}")
@@ -240,15 +241,15 @@ def _subjective_weights(inputs: PipelineInputs, cfg: PipelineConfig
     return crit_w, local
 
 
-def _level_sums(h: IndexHierarchy, global_w: WeightVector, kind: str) -> WeightVector:
+def _level_sums(h: IndexHierarchy, global_w: WeightVector) -> WeightVector:
     """Criterion-layer weights as per-criterion sums of global leaf weights."""
     table = global_w.as_dict()
     ids = h.criterion_ids()
     sums = np.array([sum(table[leaf] for leaf in leaf_indicators(h, cid)) for cid in ids])
-    return WeightVector(tuple(ids), sums / sums.sum(), kind=kind)
+    return WeightVector(tuple(ids), sums / sums.sum())
 
 
-def _localize(h: IndexHierarchy, global_w: WeightVector, kind: str) -> dict[str, WeightVector]:
+def _localize(h: IndexHierarchy, global_w: WeightVector) -> dict[str, WeightVector]:
     """Renormalize global leaf weights within each criterion (uniform if all zero)."""
     table = global_w.as_dict()
     out = {}
@@ -257,7 +258,7 @@ def _localize(h: IndexHierarchy, global_w: WeightVector, kind: str) -> dict[str,
         w = np.array([table[leaf] for leaf in ids])
         total = w.sum()
         w = np.full(len(ids), 1.0 / len(ids)) if total == 0 else w / total
-        out[cid] = WeightVector(tuple(ids), w, kind=kind)
+        out[cid] = WeightVector(tuple(ids), w)
     return out
 
 
@@ -268,16 +269,15 @@ def compute_weights(inputs: PipelineInputs, cfg: PipelineConfig) -> WeightSet:
     # global subjective = criterion weight x local leaf weight
     gs = {leaf: crit_s.as_dict()[cid] * lw
           for cid, wv in local_s.items() for leaf, lw in wv.as_dict().items()}
-    global_s = WeightVector(tuple(inputs.leaves), np.array([gs[i] for i in inputs.leaves]),
-                            kind="subjective")
+    global_s = WeightVector(tuple(inputs.leaves), np.array([gs[i] for i in inputs.leaves]))
 
     global_o, entropies = entropy_weights(inputs.normalized)
     combo = combine_weights(global_s, global_o, inputs.normalized)
 
     criterion = {
         "subjective": crit_s,
-        "objective": _level_sums(h, global_o, "objective"),
-        "combined": _level_sums(h, combo.combined, "combined"),
+        "objective": _level_sums(h, global_o),
+        "combined": _level_sums(h, combo.combined),
     }
     return WeightSet(
         theta=combo.theta,
@@ -285,7 +285,7 @@ def compute_weights(inputs: PipelineInputs, cfg: PipelineConfig) -> WeightSet:
         global_objective=global_o,
         global_combined=combo.combined,
         criterion=criterion,
-        local_combined=_localize(h, combo.combined, "combined"),
+        local_combined=_localize(h, combo.combined),
         entropies=dict(zip(inputs.leaves, (float(e) for e in entropies))),
     )
 

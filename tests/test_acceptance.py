@@ -115,8 +115,8 @@ def test_criterion_05_combiner_vs_grid():
         m, n = int(rng.integers(2, 6)), int(rng.integers(3, 7))
         z = DataMatrix(tuple(f"o{i}" for i in range(m)), tuple(f"c{j}" for j in range(n)),
                        rng.uniform(0, 1, (m, n)))
-        ws = WeightVector(z.indicator_ids, rng.dirichlet(np.ones(n)), "subjective")
-        wo = WeightVector(z.indicator_ids, rng.dirichlet(np.ones(n)), "objective")
+        ws = WeightVector(z.indicator_ids, rng.dirichlet(np.ones(n)))
+        wo = WeightVector(z.indicator_ids, rng.dirichlet(np.ones(n)))
         res = combine_weights(ws, wo, z)
         wmat = np.column_stack([ws.weights, wo.weights])
         m2 = wmat.T @ deviation_matrix(z) @ wmat

@@ -12,9 +12,9 @@ def matrix(values):
     return DataMatrix(tuple(f"o{i}" for i in range(m)), tuple(f"c{j}" for j in range(n)), values)
 
 
-def wv(weights, kind):
+def wv(weights):
     weights = np.asarray(weights, dtype=float)
-    return WeightVector(tuple(f"c{j}" for j in range(len(weights))), weights, kind)
+    return WeightVector(tuple(f"c{j}" for j in range(len(weights))), weights)
 
 
 def brute_force_deviation(v):
@@ -58,12 +58,12 @@ def test_psd_and_symmetric():
 def test_equal_sources_reproduce_themselves():
     rng = np.random.default_rng(22)
     w = rng.dirichlet(np.ones(4))
-    res = combine_weights(wv(w, "subjective"), wv(w, "objective"), matrix(rng.uniform(0, 1, (3, 4))))
+    res = combine_weights(wv(w), wv(w), matrix(rng.uniform(0, 1, (3, 4))))
     np.testing.assert_allclose(res.combined.weights, w, atol=1e-9)
 
 
 def test_degenerate_data_falls_back_to_even_mix():
-    ws, wo = wv([0.7, 0.2, 0.1], "subjective"), wv([0.2, 0.3, 0.5], "objective")
+    ws, wo = wv([0.7, 0.2, 0.1]), wv([0.2, 0.3, 0.5])
     res = combine_weights(ws, wo, matrix([[0.4, 0.6, 0.5]]))
     assert res.theta[0] == pytest.approx(res.theta[1])
     expect = (ws.weights + wo.weights) / 2.0
@@ -74,8 +74,8 @@ def test_matches_grid_search():
     rng = np.random.default_rng(23)
     for _ in range(20):
         z = matrix(rng.uniform(0, 1, (3, 4)))
-        ws = wv(rng.dirichlet(np.ones(4)), "subjective")
-        wo = wv(rng.dirichlet(np.ones(4)), "objective")
+        ws = wv(rng.dirichlet(np.ones(4)))
+        wo = wv(rng.dirichlet(np.ones(4)))
         res = combine_weights(ws, wo, z)
         m2 = np.column_stack([ws.weights, wo.weights]).T @ deviation_matrix(z) @ \
             np.column_stack([ws.weights, wo.weights])
@@ -89,8 +89,8 @@ def test_never_loses_to_pure_weightings():
     rng = np.random.default_rng(24)
     for _ in range(20):
         z = matrix(rng.uniform(0, 1, (4, 5)))
-        ws = wv(rng.dirichlet(np.ones(5)), "subjective")
-        wo = wv(rng.dirichlet(np.ones(5)), "objective")
+        ws = wv(rng.dirichlet(np.ones(5)))
+        wo = wv(rng.dirichlet(np.ones(5)))
         res = combine_weights(ws, wo, z)
         b = deviation_matrix(z)
         endpoints = max(float(ws.weights @ b @ ws.weights), float(wo.weights @ b @ wo.weights))
@@ -100,8 +100,8 @@ def test_never_loses_to_pure_weightings():
 def test_theta_constraints():
     rng = np.random.default_rng(25)
     z = matrix(rng.uniform(0, 1, (4, 3)))
-    res = combine_weights(wv(rng.dirichlet(np.ones(3)), "subjective"),
-                          wv(rng.dirichlet(np.ones(3)), "objective"), z)
+    res = combine_weights(wv(rng.dirichlet(np.ones(3))),
+                          wv(rng.dirichlet(np.ones(3))), z)
     t = np.array(res.theta)
     assert (t >= 0).all()
     assert t @ t == pytest.approx(1.0, abs=1e-9)
@@ -111,14 +111,14 @@ def test_permutation_equivariance():
     rng = np.random.default_rng(26)
     v = rng.uniform(0, 1, (3, 4))
     ws, wo = rng.dirichlet(np.ones(4)), rng.dirichlet(np.ones(4))
-    res = combine_weights(wv(ws, "subjective"), wv(wo, "objective"), matrix(v))
+    res = combine_weights(wv(ws), wv(wo), matrix(v))
     perm = np.array([2, 0, 3, 1])
-    res_p = combine_weights(wv(ws[perm], "subjective"), wv(wo[perm], "objective"),
+    res_p = combine_weights(wv(ws[perm]), wv(wo[perm]),
                             matrix(v[:, perm]))
     np.testing.assert_allclose(res_p.combined.weights, res.combined.weights[perm], atol=1e-9)
 
 
 def test_length_mismatch():
     with pytest.raises(ValueError, match="indicator order"):
-        combine_weights(wv([0.5, 0.5], "subjective"), wv([0.3, 0.3, 0.4], "objective"),
+        combine_weights(wv([0.5, 0.5]), wv([0.3, 0.3, 0.4]),
                         matrix(np.random.default_rng(0).uniform(0, 1, (2, 3))))

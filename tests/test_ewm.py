@@ -100,6 +100,6 @@ def test_all_constant_falls_back_to_uniform():
 
 def test_weight_vector_invariants():
     with pytest.raises(ValueError):
-        WeightVector(("a", "b"), np.array([0.7, 0.7]), "objective")
+        WeightVector(("a", "b"), np.array([0.7, 0.7]))
     with pytest.raises(ValueError):
-        WeightVector(("a", "b"), np.array([1.2, -0.2]), "objective")
+        WeightVector(("a", "b"), np.array([1.2, -0.2]))

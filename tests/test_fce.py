@@ -10,7 +10,7 @@ MIDS = DEFAULT_SCHEME.midpoints()  # 30, 67.5, 80, 92.5
 
 def wv(weights):
     weights = np.asarray(weights, dtype=float)
-    return WeightVector(tuple(f"c{j}" for j in range(len(weights))), weights, "combined")
+    return WeightVector(tuple(f"c{j}" for j in range(len(weights))), weights)
 
 
 def test_band_midpoint_is_apex():

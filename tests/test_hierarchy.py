@@ -1,6 +1,9 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cloudmcdm.hierarchy import (
+    DIRECTIONS,
     IndexHierarchy,
     IndicatorNode,
     leaf_indicators,
@@ -91,3 +94,43 @@ def test_minimal_tree_single_leaf():
 def test_unknown_criterion_errors():
     with pytest.raises(KeyError):
         leaf_indicators(minimal_tree(), "nope")
+
+
+@st.composite
+def documents(draw):
+    """(shape, ids, directions): 1-15 criteria of 1-15 leaves each, unique ids in pre-order."""
+    shape = draw(st.lists(st.integers(1, 15), min_size=1, max_size=15))
+    ids = [f"n{k}" for k in draw(st.permutations(range(1 + len(shape) + sum(shape))))]
+    directions = draw(st.lists(st.sampled_from(DIRECTIONS), min_size=sum(shape), max_size=sum(shape)))
+    return shape, ids, directions
+
+
+def nested(shape, ids, directions):
+    """The hierarchy document whose ids, read in pre-order, are `ids`."""
+    ids, directions = iter(ids), iter(directions)
+    root = {"id": next(ids), "children": []}
+    for k in shape:
+        root["children"].append({"id": next(ids), "children": [
+            {"id": next(ids), "direction": next(directions)} for _ in range(k)]})
+    return {"root": root}
+
+
+@settings(max_examples=100, deadline=None)
+@given(documents())
+def test_parse_keeps_pre_order_and_declared_leaves(case):
+    doc = nested(*case)
+    h = parse_hierarchy(doc)
+    assert list(h.nodes) == case[1]
+    assert leaf_indicators(h) == [leaf["id"] for c in doc["root"]["children"] for leaf in c["children"]]
+    assert validate_hierarchy(h) == []
+
+
+@settings(max_examples=100, deadline=None)
+@given(documents(), st.data())
+def test_repeated_id_anywhere_is_rejected(case, data):
+    shape, ids, directions = case
+    first, second = data.draw(st.lists(st.integers(0, len(ids) - 1), min_size=2, max_size=2, unique=True))
+    ids = list(ids)
+    ids[second] = ids[first]
+    with pytest.raises(ValueError, match="duplicate"):
+        parse_hierarchy(nested(shape, ids, directions))

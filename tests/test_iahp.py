@@ -2,6 +2,8 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cloudmcdm.iahp import (
     PREFERENCE_VALUES,
@@ -18,6 +20,7 @@ from cloudmcdm.iahp import (
     principal_weights,
     repair_step,
     to_preference,
+    validate_judgment,
 )
 
 from helpers import consistent_judgment, perturbed_judgment
@@ -242,6 +245,23 @@ def test_random_corpus_converges():
         deltas = np.diff(trace.distances)
         assert (deltas < 0).all()
         assert consistency_ratio(out)[2] < 0.1
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 15), st.integers(0, 2**32 - 1), st.integers(0, 8), st.integers(1, 30))
+def test_repair_converges_within_budget_or_raises_with_its_trace(n, seed, wobble, max_iter):
+    cfg = RepairConfig(max_iter=max_iter)
+    try:
+        out, trace = auto_correct(perturbed_judgment(n, np.random.default_rng(seed), wobble), cfg)
+    except RepairError as e:
+        if e.trace.final_cr is None:  # the budget ran out before the distance fell under tau
+            assert len(e.trace.distances) == max_iter + 1 and min(e.trace.distances) >= cfg.tau
+        else:
+            assert e.trace.final_cr >= 0.1
+        return
+    assert len(trace.distances) == trace.iterations + 1 <= max_iter + 1
+    assert trace.distances[-1] < cfg.tau and trace.final_cr < 0.1
+    validate_judgment(out)
 
 
 # -- weights and CR ----------------------------------------------------------

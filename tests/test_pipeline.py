@@ -227,6 +227,24 @@ def test_repeated_band_label_exits_2(tmp_path, capsys):
     assert "band label 'low' is repeated" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name, edit, key", [
+    ("config_before.json", lambda doc: doc.update(indicator_matrices=[]), "'indicator_matrices'"),
+    ("config_before.json", lambda doc: doc.update(droplets=None), "'droplets'"),
+    ("scheme.json", lambda doc: doc["bands"][1].update(lower=None), "'bands[1].lower'"),
+    ("hierarchy.json", lambda doc: doc["root"]["children"][2]["children"].append("oops"), "'oops'"),
+])
+def test_malformed_json_value_exits_2(tmp_path, capsys, name, edit, key):
+    _copy_demo(tmp_path)
+    path = tmp_path / name
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    rc = cli_main(["validate", str(tmp_path / "config_before.json")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and key in err
+
+
 def test_duplicated_indicator_column_exits_2(tmp_path, capsys):
     # a second C11 column full of 999 used to be dropped without a word
     _copy_demo(tmp_path)
