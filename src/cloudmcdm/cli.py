@@ -12,6 +12,7 @@ import sys
 from pathlib import Path
 
 from .cloud import forward_cloud
+from .dataprep import read_json
 from .hierarchy import leaf_indicators, validate_hierarchy
 from .iahp import RepairError
 from .pipeline import (
@@ -85,11 +86,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    with open(args.report_a, encoding="utf-8") as f:
-        a = json.load(f)
-    with open(args.report_b, encoding="utf-8") as f:
-        b = json.load(f)
-    _emit(compare_scenarios(a, b))
+    _emit(compare_scenarios(read_json(args.report_a), read_json(args.report_b)))
     return 0
 
 
@@ -160,7 +157,7 @@ def main(argv: list[str] | None = None) -> int:
     except RepairError as e:
         print(f"error: judgment-matrix repair failed: {e}", file=sys.stderr)
         return 2
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as e:
+    except (ValueError, KeyError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -14,13 +14,12 @@ quadrature, so grades and tables depend on neither a seed nor a droplet count.
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .dataprep import json_value
+from .dataprep import json_value, read_json
 
 # Fewest droplets per direction that a similarity estimate, and fewest rows that an
 # evaluation's droplets.csv, may rest on.
@@ -97,13 +96,17 @@ DEFAULT_SCHEME = GradeScheme(
 
 
 def load_scheme(path: str | Path) -> GradeScheme:
-    """Read a scheme JSON; a missing or mistyped value is a ValueError naming the file and key."""
-    with open(path, encoding="utf-8") as f:
-        doc = json.load(f)
+    """Read a scheme JSON; a syntax error, a missing or mistyped value and an
+    invalid scheme are ValueErrors naming the file."""
+    doc = read_json(path)
     bands = tuple(tuple(json_value(path, band, key, convert, where=f"bands[{k}]")
                         for key, convert in (("label", str), ("lower", float), ("upper", float)))
                   for k, band in enumerate(json_value(path, doc, "bands", list)))
-    return GradeScheme(bands=bands, he_ratio=json_value(path, doc, "he_ratio", float, 0.1))
+    he_ratio = json_value(path, doc, "he_ratio", float, 0.1)
+    try:
+        return GradeScheme(bands=bands, he_ratio=he_ratio)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
 
 
 def _rng(seed: int, *stream: int) -> np.random.Generator:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import json
 from dataclasses import MISSING, dataclass
 from pathlib import Path
 from typing import Mapping
@@ -64,6 +65,16 @@ def min_max_normalize(d: DataMatrix, directions: Mapping[str, str]) -> DataMatri
 # Characters that keep a file off the bulk path: quotes and CR need the csv
 # reader, and numpy strips \x1c-\x1f as whitespace where float() rejects them.
 _NOT_PLAIN = '"\r\x1c\x1d\x1e\x1f'
+
+
+def read_json(path: str | Path):
+    """The JSON document in a UTF-8 file; a syntax or encoding error, or nesting
+    too deep to decode, is a ValueError naming the file."""
+    with open(path, encoding="utf-8") as f:
+        try:
+            return json.load(f)
+        except (ValueError, RecursionError) as e:  # ValueError: JSONDecodeError, UnicodeDecodeError
+            raise ValueError(f"{path}: {e}") from None
 
 
 def json_value(path: str | Path, doc, key: str, convert, default=MISSING, where: str = ""):

@@ -10,9 +10,10 @@ is in the order of that criterion's leaves.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
+
+from .dataprep import read_json
 
 LAYERS = ("objective", "criterion", "indicator")
 DIRECTIONS = ("benefit", "cost")
@@ -158,8 +159,7 @@ def parse_hierarchy(doc: dict) -> IndexHierarchy:
 
 
 def load_hierarchy(path: str | Path) -> IndexHierarchy:
-    with open(path, encoding="utf-8") as f:
-        doc = json.load(f)
+    doc = read_json(path)
     try:
         return parse_hierarchy(doc)
     except ValueError as e:

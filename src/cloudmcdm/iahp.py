@@ -10,10 +10,12 @@ is applied to the result.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,6 +33,8 @@ PREFERENCE_VALUES = np.array(
 )
 
 _SCALE_TOL = 1e-9
+_ONE = np.ones(1)
+_ONE.flags.writeable = False
 
 # random consistency index, orders 1..15 (standard table)
 RANDOM_INDEX = {
@@ -135,6 +139,37 @@ def from_preference(p: np.ndarray) -> np.ndarray:
     return j
 
 
+class _ChainPlan(NamedTuple):
+    left: np.ndarray       # (2m, n-2) indices into ext of each chain's first factor
+    right: np.ndarray      # (2m, n-2) indices into ext of each chain's second factor
+    exponents: list[float]  # 1/(j-i-1) for the m numerators, then again for the m denominators
+    upper: np.ndarray      # flat index of each cell (i, j), j >= i+2, in row-major order
+    lower: np.ndarray      # flat index of its mirror (j, i)
+
+
+@functools.cache
+def _chain_plan(n: int) -> _ChainPlan:
+    """Gather indices of every chain of an order-n relation (n >= 3).
+
+    `ext` is [p.ravel(), (1 - p).ravel(), 1.0]: rows 0..m-1 gather the
+    numerator chains p_it * p_tj of each cell, rows m..2m-1 the denominator
+    chains (1 - p_it) * (1 - p_tj), and positions past j-1 point both factors
+    at the trailing 1.0, whose product 1.0 leaves the row's product exact.
+    """
+    i, j = np.triu_indices(n, 2)  # row-major: an error names the first bad cell in row order
+    t = i[:, None] + 1 + np.arange(n - 2)
+    inside = t < j[:, None]
+    one = 2 * n * n
+    left = np.where(inside, i[:, None] * n + t, one)
+    right = np.where(inside, t * n + j[:, None], one)
+    left = np.concatenate((left, np.where(inside, left + n * n, one)))
+    right = np.concatenate((right, np.where(inside, right + n * n, one)))
+    upper, lower = i * n + j, j * n + i
+    for a in (left, right, upper, lower):
+        a.flags.writeable = False
+    return _ChainPlan(left, right, (1.0 / (j - i - 1)).tolist() * 2, upper, lower)
+
+
 def consistent_reference(p: np.ndarray) -> np.ndarray:
     """Consistent reference relation from geometric chains.
 
@@ -142,34 +177,34 @@ def consistent_reference(p: np.ndarray) -> np.ndarray:
     chains p_it * p_tj over intermediate t; entries with j <= i+1 are copied
     and the lower triangle follows by complementarity. Orders <= 2 pass through.
 
-    All cells are computed in one pass: the chain products of every cell are
-    gathered into one row each (positions past j-1 hold 1.0) and multiplied
-    left to right, and the roots use libm `pow` through `math.pow`, so the
-    result is bit-identical to rebuilding the cells one by one with
-    `np.prod` and a scalar power. (numpy's array power and log-sums round
-    differently, and the repair loop feeds its output back into itself.)
+    All cells are computed in one pass on a chain plan built once per order
+    (`_chain_plan`): the numerator and denominator chain products of every
+    cell are gathered into one row each (positions past j-1 hold 1.0) and
+    multiplied left to right, and the roots use libm `pow` through
+    `math.pow`, so the result is bit-identical to rebuilding the cells one
+    by one with `np.prod` and a scalar power. (numpy's array power and
+    log-sums round differently, and the repair loop feeds its output back
+    into itself.)
     """
     p = _check_square(p, "preference relation")
     n = p.shape[0]
     if n <= 2:
         return p.copy()
-    i, j = np.triu_indices(n, 2)  # row-major: an error names the first bad cell in row order
-    t = i[:, None] + 1 + np.arange(n - 2)
-    inside = t < j[:, None]
-    t = np.where(inside, t, 0)  # any valid index; its products are replaced by 1.0
-    q = 1.0 - p
-    num = np.where(inside, p[i[:, None], t] * p[t, j[:, None]], 1.0).prod(axis=1)
-    den = np.where(inside, q[i[:, None], t] * q[t, j[:, None]], 1.0).prod(axis=1)
-    bad = (num == 0.0) | (den == 0.0)
-    if bad.any():
-        c = int(np.argmax(bad))
-        raise ValueError(f"degenerate chain for cell ({i[c] + 1},{j[c] + 1}): zero product")
-    k = (1.0 / (j - i - 1)).tolist()
-    a = np.array([math.pow(v, e) for v, e in zip(num.tolist(), k)])
-    b = np.array([math.pow(v, e) for v, e in zip(den.tolist(), k)])
+    plan = _chain_plan(n)
+    ext = np.concatenate((p.ravel(), (1.0 - p).ravel(), _ONE))
+    prods = (ext[plan.left] * ext[plan.right]).prod(axis=1)
+    m = len(plan.upper)
+    if not prods.all():
+        bad = (prods[:m] == 0.0) | (prods[m:] == 0.0)
+        i, j = divmod(int(plan.upper[np.argmax(bad)]), n)
+        raise ValueError(f"degenerate chain for cell ({i + 1},{j + 1}): zero product")
+    roots = np.fromiter(map(math.pow, prods.tolist(), plan.exponents), float, 2 * m)
+    a, b = roots[:m], roots[m:]
+    v = a / (a + b)
     out = p.copy()
-    out[i, j] = a / (a + b)
-    out[j, i] = 1.0 - out[i, j]
+    flat = out.reshape(-1)  # a view: the copy is C-contiguous
+    flat[plan.upper] = v
+    flat[plan.lower] = 1.0 - v
     return out
 
 

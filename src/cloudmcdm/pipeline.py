@@ -34,7 +34,7 @@ from .cloud import (
     load_scheme,
 )
 from .combiner import combine_weights
-from .dataprep import DataMatrix, json_value, load_data_csv, min_max_normalize
+from .dataprep import DataMatrix, json_value, load_data_csv, min_max_normalize, read_json
 from .ewm import WeightVector, entropy_weights
 from .fce import fce_score, membership_matrix
 from .hierarchy import IndexHierarchy, leaf_indicators, load_hierarchy, validate_hierarchy
@@ -68,15 +68,15 @@ class PipelineConfig:
     @staticmethod
     def from_json(path: str | Path, seed: int | None = None, sigma: float | None = None,
                   tau: float | None = None) -> "PipelineConfig":
-        """Load a config file; paths resolve relative to the file. A missing or
-        mistyped value is a ValueError naming the file and key.
+        """Load a config file; paths resolve relative to the file. A syntax
+        error, a missing or mistyped value and a key that is not a field are
+        ValueErrors naming the file and key.
 
         Seed precedence: explicit argument > config value > CLOUDMCDM_SEED
         environment variable > 0.
         """
         path = Path(path)
-        with open(path, encoding="utf-8") as f:
-            doc = json.load(f)
+        doc = read_json(path)
         base = path.parent
 
         def value(key, convert, default=MISSING):
@@ -91,7 +91,7 @@ class PipelineConfig:
             seed = value("seed", lambda v: v if v is None else int(v), None)
         if seed is None:
             seed = int(os.environ.get(ENV_SEED, 0))
-        return PipelineConfig(
+        cfg = PipelineConfig(
             scenario=value("scenario", str),
             hierarchy=value("hierarchy", base.joinpath),
             criterion_matrix=value("criterion_matrix", base.joinpath),
@@ -106,6 +106,10 @@ class PipelineConfig:
             tau=float(tau) if tau is not None else value("tau", float, 0.1),
             max_iter=value("max_iter", int, 20),
         )
+        unknown = sorted(doc.keys() - {f.name for f in fields(PipelineConfig)})
+        if unknown:
+            raise ValueError(f"{path}: unknown config keys {', '.join(map(repr, unknown))}")
+        return cfg
 
 
 @dataclass
@@ -267,7 +271,8 @@ def compute_weights(inputs: PipelineInputs, cfg: PipelineConfig) -> WeightSet:
     crit_s, local_s = _subjective_weights(inputs, cfg)
 
     # global subjective = criterion weight x local leaf weight
-    gs = {leaf: crit_s.as_dict()[cid] * lw
+    crit_table = crit_s.as_dict()
+    gs = {leaf: crit_table[cid] * lw
           for cid, wv in local_s.items() for leaf, lw in wv.as_dict().items()}
     global_s = WeightVector(tuple(inputs.leaves), np.array([gs[i] for i in inputs.leaves]))
 

@@ -1,4 +1,5 @@
 import csv
+import math
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from cloudmcdm.iahp import (
     PREFERENCE_VALUES,
     RepairConfig,
     RepairError,
+    RepairTrace,
     SAATY_VALUES,
     auto_correct,
     consistency_ratio,
@@ -114,7 +116,7 @@ def _random_relation(n, rng, knots):
 @pytest.mark.parametrize("knots", [True, False])
 def test_reference_matches_per_cell_chain_loop(knots):
     rng = np.random.default_rng(5)
-    for n in range(3, 16):
+    for n in range(1, 16):
         for _ in range(8):
             p = _random_relation(n, rng, knots)
             np.testing.assert_array_equal(consistent_reference(p), _reference_per_cell(p))
@@ -152,6 +154,23 @@ def test_reference_preserves_complementarity():
     p = pref_of(perturbed_judgment(7, rng))
     ref = consistent_reference(p)
     np.testing.assert_allclose(ref + ref.T, 1.0, atol=1e-9)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 15), st.integers(0, 2**32 - 1), st.booleans())
+def test_reference_complementarity_is_exact_and_repairs_are_valid_judgments(n, seed, knots):
+    rng = np.random.default_rng(seed)
+    p = _random_relation(n, rng, knots)
+    ref = consistent_reference(p)
+    i, j = np.triu_indices(n, 1)
+    assert np.array_equal(ref[j, i], 1.0 - ref[i, j])
+    assert np.array_equal(np.diag(ref), np.diag(p))
+    if knots and n >= 2:
+        try:
+            out, _ = auto_correct(from_preference(p))
+        except RepairError:
+            return
+        validate_judgment(out)
 
 
 # -- distance ----------------------------------------------------------------
@@ -262,6 +281,95 @@ def test_repair_converges_within_budget_or_raises_with_its_trace(n, seed, wobble
     assert len(trace.distances) == trace.iterations + 1 <= max_iter + 1
     assert trace.distances[-1] < cfg.tau and trace.final_cr < 0.1
     validate_judgment(out)
+
+
+def _reference_per_call_indices(p):
+    # consistent_reference before the per-order chain plan, verbatim: it built its
+    # index arrays on every call; kept as the oracle of the repair loop below
+    p = np.asarray(p, dtype=float)
+    n = p.shape[0]
+    if n <= 2:
+        return p.copy()
+    i, j = np.triu_indices(n, 2)
+    t = i[:, None] + 1 + np.arange(n - 2)
+    inside = t < j[:, None]
+    t = np.where(inside, t, 0)
+    q = 1.0 - p
+    num = np.where(inside, p[i[:, None], t] * p[t, j[:, None]], 1.0).prod(axis=1)
+    den = np.where(inside, q[i[:, None], t] * q[t, j[:, None]], 1.0).prod(axis=1)
+    bad = (num == 0.0) | (den == 0.0)
+    if bad.any():
+        c = int(np.argmax(bad))
+        raise ValueError(f"degenerate chain for cell ({i[c] + 1},{j[c] + 1}): zero product")
+    k = (1.0 / (j - i - 1)).tolist()
+    a = np.array([math.pow(v, e) for v, e in zip(num.tolist(), k)])
+    b = np.array([math.pow(v, e) for v, e in zip(den.tolist(), k)])
+    out = p.copy()
+    out[i, j] = a / (a + b)
+    out[j, i] = 1.0 - out[i, j]
+    return out
+
+
+def _auto_correct_per_call_indices(j, cfg):
+    # auto_correct's loop, verbatim, on the reference above
+    validate_judgment(j)
+    trace = RepairTrace()
+    p = to_preference(j)
+    while True:
+        pbar = _reference_per_call_indices(p)
+        trace.distances.append(preference_distance(p, pbar))
+        if trace.distances[-1] < cfg.tau:
+            break
+        if trace.iterations == cfg.max_iter:
+            raise RepairError(
+                f"repair did not reach d < {cfg.tau} within {cfg.max_iter} iterations "
+                f"(last d = {trace.distances[-1]:.4f})",
+                trace,
+            )
+        p = repair_step(p, pbar, cfg.sigma)
+    if trace.iterations == 0:
+        repaired = np.asarray(j, dtype=float).copy()
+    else:
+        repaired = from_preference(np.clip(p, 0.1, 0.9))
+    _, _, cr = consistency_ratio(repaired)
+    trace.final_cr = cr
+    if cr >= 0.1:
+        raise RepairError(f"repaired matrix still fails the CR test (CR = {cr:.4f})", trace)
+    return repaired, trace
+
+
+def _repair_outcome(correct, j, cfg):
+    try:
+        out, trace = correct(j, cfg)
+    except RepairError as e:
+        return str(e), None, e.trace.distances, e.trace.final_cr
+    except ValueError as e:
+        return str(e), None, None, None
+    return "ok", out, trace.distances, trace.final_cr
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 15), st.integers(0, 2**32 - 1), st.sampled_from(["knots", "perturbed", "continuous"]),
+       st.floats(0.05, 0.95), st.floats(0.01, 0.5), st.integers(1, 30))
+def test_auto_correct_matches_the_per_call_index_loop(n, seed, kind, sigma, tau, max_iter):
+    rng = np.random.default_rng(seed)
+    cfg = RepairConfig(sigma=sigma, tau=tau, max_iter=max_iter)
+    if kind == "perturbed":
+        j = perturbed_judgment(n, rng, int(rng.integers(0, 9)))
+    else:
+        p = _random_relation(n, rng, kind == "knots")
+        j = from_preference(np.clip(p, 0.1, 0.9))
+    if kind == "continuous":
+        # off-knot judgments stop at the scale check, so walk the relation itself
+        # through the loop's reference and repair steps
+        for _ in range(max_iter):
+            ref = consistent_reference(p)
+            assert np.array_equal(ref, _reference_per_call_indices(p))
+            p = repair_step(p, ref, sigma)
+    got = _repair_outcome(auto_correct, j, cfg)
+    want = _repair_outcome(_auto_correct_per_call_indices, j, cfg)
+    assert got[0] == want[0] and got[2:] == want[2:]
+    assert (got[1] is None and want[1] is None) or np.array_equal(got[1], want[1])
 
 
 # -- weights and CR ----------------------------------------------------------

@@ -245,6 +245,44 @@ def test_malformed_json_value_exits_2(tmp_path, capsys, name, edit, key):
     assert str(path) in err and key in err
 
 
+def _set_band_lower(data: bytes) -> bytes:
+    doc = json.loads(data)
+    doc["bands"][1]["lower"] = 61
+    return json.dumps(doc).encode()
+
+
+def _misspell_keys(data: bytes) -> bytes:
+    doc = json.loads(data)
+    del doc["droplets"]
+    return json.dumps(dict(doc, droplet=5, sigmaa=3)).encode()
+
+
+@pytest.mark.parametrize("name, edit, message", [
+    ("config_before.json", lambda data: data + b",", "Extra data: line 24 column 1"),
+    ("scheme.json", lambda data: data[:-3], "Expecting ',' delimiter"),
+    ("hierarchy.json", lambda data: b'{"root": ', "Expecting value: line 1 column 10 (char 9)"),
+    ("hierarchy.json", lambda data: b"\xff" + data, "can't decode byte 0xff in position 0"),
+    ("scheme.json", lambda data: b"[" * 100_000, "maximum recursion depth exceeded"),
+    ("scheme.json", _set_band_lower, "band 'fair' starts at 61.0, expected 60.0"),
+    ("config_before.json", _misspell_keys, "unknown config keys 'droplet', 'sigmaa'"),
+])
+def test_bad_json_file_exits_2_naming_the_file(tmp_path, capsys, name, edit, message):
+    _copy_demo(tmp_path)
+    path = tmp_path / name
+    path.write_bytes(edit(path.read_bytes()))
+    rc = cli_main(["validate", str(tmp_path / "config_before.json")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"{path}: " in err and message in err
+
+
+def test_compare_names_a_report_with_bad_json(tmp_path, capsys):
+    path = tmp_path / "report.json"
+    path.write_text('{"grade": ')
+    assert cli_main(["compare", str(GOLDEN), str(path)]) == 2
+    assert f"error: {path}: Expecting value" in capsys.readouterr().err
+
+
 def test_duplicated_indicator_column_exits_2(tmp_path, capsys):
     # a second C11 column full of 999 used to be dropped without a word
     _copy_demo(tmp_path)
@@ -332,4 +370,12 @@ def test_missing_config_key(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"scenario": "x"}))
     with pytest.raises(ValueError, match="missing required key"):
+        PipelineConfig.from_json(cfg_path)
+
+
+def test_unknown_config_key(tmp_path):
+    doc = json.loads((DEMO / "config_before.json").read_text())
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(dict(doc, comment="x")))
+    with pytest.raises(ValueError, match=r"cfg\.json: unknown config keys 'comment'$"):
         PipelineConfig.from_json(cfg_path)
