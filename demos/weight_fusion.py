@@ -11,18 +11,16 @@ DEMO = Path(__file__).resolve().parents[1] / "data" / "demo"
 
 cfg = PipelineConfig.from_json(DEMO / "config_before.json")
 inputs = load_inputs(cfg)
-ws = compute_weights(inputs, cfg)
+w = compute_weights(inputs, cfg).to_dict()  # the `weights` section of report.json
 
-print(f"fusion coefficients theta = ({ws.theta[0]:.4f}, {ws.theta[1]:.4f})")
+print(f"fusion coefficients theta = ({w['theta']['subjective']:.4f}, {w['theta']['objective']:.4f})")
 print(f"{'criterion':<10}{'subjective':>12}{'objective':>12}{'combined':>12}")
-for cid in ws.criterion["subjective"].indicator_ids:
-    print(f"{cid:<10}"
-          f"{ws.criterion['subjective'].as_dict()[cid]:>12.4f}"
-          f"{ws.criterion['objective'].as_dict()[cid]:>12.4f}"
-          f"{ws.criterion['combined'].as_dict()[cid]:>12.4f}")
+for cid in w["criterion"]["subjective"]:
+    print(f"{cid:<10}" + "".join(f"{w['criterion'][kind][cid]:>12.4f}"
+                                 for kind in ("subjective", "objective", "combined")))
 
 # the five most influential leaf indicators under the fused weighting
-top = sorted(ws.global_combined.as_dict().items(), key=lambda kv: -kv[1])[:5]
+top = sorted(w["indicator_global"]["combined"].items(), key=lambda kv: -kv[1])[:5]
 print("\ntop 5 leaf indicators by combined weight:")
 for leaf, weight in top:
     print(f"  {leaf}: {weight:.4f}")

@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .cloud import forward_cloud
 from .dataprep import read_json
-from .hierarchy import leaf_indicators, validate_hierarchy
+from .hierarchy import leaf_indicators, load_hierarchy, validate_hierarchy
 from .iahp import RepairError
 from .pipeline import (
     EvaluationReport,
@@ -37,8 +37,6 @@ def _emit(doc: dict) -> None:
 
 def cmd_validate(args) -> int:
     cfg = _load_config(args)
-    from .hierarchy import load_hierarchy
-
     h = load_hierarchy(cfg.hierarchy)
     violations = validate_hierarchy(h)
     if violations:
@@ -52,26 +50,12 @@ def cmd_validate(args) -> int:
 def cmd_weights(args) -> int:
     cfg = _load_config(args)
     inputs = load_inputs(cfg)
-    ws = compute_weights(inputs, cfg)
-    doc: dict = {}
-    if args.subjective or not (args.objective or args.combined):
-        doc["subjective"] = {
-            "criterion": ws.criterion["subjective"].as_dict(),
-            "indicator_global": ws.global_subjective.as_dict(),
-        }
-    if args.objective or not (args.subjective or args.combined):
-        doc["objective"] = {
-            "criterion": ws.criterion["objective"].as_dict(),
-            "indicator_global": ws.global_objective.as_dict(),
-            "indicator_entropy": ws.entropies,
-        }
-    if args.combined or not (args.subjective or args.objective):
-        doc["combined"] = {
-            "theta": {"subjective": ws.theta[0], "objective": ws.theta[1]},
-            "criterion": ws.criterion["combined"].as_dict(),
-            "indicator_global": ws.global_combined.as_dict(),
-        }
-    _emit(doc)
+    w = compute_weights(inputs, cfg).to_dict()
+    extra = {"subjective": {}, "objective": {"indicator_entropy": w["indicator_entropy"]},
+             "combined": {"theta": w["theta"]}}
+    kinds = [k for k in extra if getattr(args, k)] or list(extra)
+    _emit({k: {"criterion": w["criterion"][k], "indicator_global": w["indicator_global"][k], **extra[k]}
+           for k in kinds})
     return 0
 
 

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataprep import json_value, read_json
+from .dataprep import json_float, json_value, read_json
 
 # Fewest droplets per direction that a similarity estimate, and fewest rows that an
 # evaluation's droplets.csv, may rest on.
@@ -40,6 +40,8 @@ class CloudParams:
             object.__setattr__(self, name, value)
         if self.en < 0 or self.he < 0:
             raise ValueError("En and He must be nonnegative")
+        if self.en == 0 and self.he > 0:
+            raise ValueError("En = 0 with He > 0: entropy draws centered at 0 are ill-defined")
 
 
 @dataclass(frozen=True)
@@ -100,9 +102,9 @@ def load_scheme(path: str | Path) -> GradeScheme:
     invalid scheme are ValueErrors naming the file."""
     doc = read_json(path)
     bands = tuple(tuple(json_value(path, band, key, convert, where=f"bands[{k}]")
-                        for key, convert in (("label", str), ("lower", float), ("upper", float)))
+                        for key, convert in (("label", str), ("lower", json_float), ("upper", json_float)))
                   for k, band in enumerate(json_value(path, doc, "bands", list)))
-    he_ratio = json_value(path, doc, "he_ratio", float, 0.1)
+    he_ratio = json_value(path, doc, "he_ratio", json_float, 0.1)
     try:
         return GradeScheme(bands=bands, he_ratio=he_ratio)
     except ValueError as e:
@@ -123,8 +125,6 @@ def _droplets(c: CloudParams, n: int, rng: np.random.Generator) -> tuple[np.ndar
     """
     if n < 1:
         raise ValueError("droplet count must be at least 1")
-    if c.en == 0 and c.he > 0:
-        raise ValueError("En = 0 with He > 0: entropy draws centered at 0 are ill-defined")
     if c.en == 0:
         return np.full(n, c.ex), None
     if c.he == 0:
@@ -300,8 +300,6 @@ def grade_clouds(clouds: list[CloudParams], scheme: GradeScheme = DEFAULT_SCHEME
     is drawn, so a table depends only on its cloud and the scheme. Exact ties are
     broken toward the higher band.
     """
-    if any(c.en == 0 and c.he > 0 for c in clouds):
-        raise ValueError("En = 0 with He > 0: entropy draws centered at 0 are ill-defined")
     labels, bands = zip(*scheme.clouds())
     graded = np.array([(c.ex, c.en, c.he) for c in clouds]).reshape(-1, 1, 3)
     reference = np.array([(g.ex, g.en, g.he) for g in bands])

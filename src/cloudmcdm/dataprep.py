@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import MISSING, dataclass
 from pathlib import Path
 from typing import Mapping
@@ -77,6 +78,20 @@ def read_json(path: str | Path):
             raise ValueError(f"{path}: {e}") from None
 
 
+def json_float(value) -> float:
+    """A finite JSON number as a float; a boolean, a string, NaN or an infinity is rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return float(value)
+
+
+def json_int(value) -> int:
+    """A JSON number with an integral value (such as 3 or 3.0) as an int; anything else is rejected."""
+    if isinstance(value, float) and value.is_integer() or isinstance(value, int) and not isinstance(value, bool):
+        return int(value)
+    raise ValueError(f"expected an integer, got {value!r}")
+
+
 def json_value(path: str | Path, doc, key: str, convert, default=MISSING, where: str = ""):
     """`convert(doc[key])`, or `convert(default)` when the key is absent and a default
     is given. A `doc` that is not a JSON object, a missing required key and a value
@@ -89,7 +104,7 @@ def json_value(path: str | Path, doc, key: str, convert, default=MISSING, where:
     value = doc.get(key, default)
     try:
         return convert(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # OverflowError: an integer too large for a float
         raise ValueError(f"{path}: invalid value {value!r} for key {name!r}") from None
 
 

@@ -84,7 +84,7 @@ def _check_square(m: np.ndarray, name: str) -> np.ndarray:
     return m
 
 
-def validate_judgment(j: np.ndarray, tol: float = _SCALE_TOL) -> None:
+def validate_judgment(j: np.ndarray) -> None:
     """Check finite entries, unit diagonal and reciprocity r_ij * r_ji = 1."""
     j = _check_square(j, "judgment matrix")
     if not np.isfinite(j).all():
@@ -95,7 +95,7 @@ def validate_judgment(j: np.ndarray, tol: float = _SCALE_TOL) -> None:
         raise ValueError(f"judgment matrix order must be in [2, 15], got {n}")
     if (j <= 0).any():
         raise ValueError("judgment matrix entries must be positive")
-    if np.abs(np.diag(j) - 1.0).max() > tol:
+    if np.abs(np.diag(j) - 1.0).max() > _SCALE_TOL:
         raise ValueError("judgment matrix diagonal must be 1")
     if np.abs(j * j.T - 1.0).max() > 1e-6:
         i, k = np.unravel_index(np.argmax(np.abs(j * j.T - 1.0)), j.shape)

@@ -2,12 +2,12 @@
 
 One JSON config references every input (hierarchy, judgment matrices, data,
 ratings, grade scheme, seed, droplet counts), so an evaluation is archivable
-and replayable. Identical inputs and seed yield a byte-identical report.json on
-every platform, because its floats are written at REPORT_DIGITS significant
-digits. droplets.csv keeps full-precision floats and diagram.svg writes
-coordinates at 2 decimals; both are byte-identical when replayed on one
-machine, but droplets.csv may differ in the last digit across numpy builds and
-CPUs.
+and replayable. report.json writes floats at REPORT_DIGITS significant digits,
+so a last-ulp difference between platforms changes its bytes only through a
+value within an ulp of a rounding boundary (none in the demo reports).
+droplets.csv keeps full-precision floats and diagram.svg writes coordinates at
+2 decimals; both are byte-identical when replayed on one machine, but
+droplets.csv may differ in the last digit across numpy builds and CPUs.
 """
 
 from __future__ import annotations
@@ -34,7 +34,8 @@ from .cloud import (
     load_scheme,
 )
 from .combiner import combine_weights
-from .dataprep import DataMatrix, json_value, load_data_csv, min_max_normalize, read_json
+from .dataprep import (DataMatrix, json_float, json_int, json_value, load_data_csv, min_max_normalize,
+                       read_json)
 from .ewm import WeightVector, entropy_weights
 from .fce import fce_score, membership_matrix
 from .hierarchy import IndexHierarchy, leaf_indicators, load_hierarchy, validate_hierarchy
@@ -88,9 +89,13 @@ class PipelineConfig:
             return {k: base / v for k, v in table.items()}
 
         if seed is None:
-            seed = value("seed", lambda v: v if v is None else int(v), None)
+            seed = value("seed", lambda v: v if v is None else json_int(v), None)
         if seed is None:
-            seed = int(os.environ.get(ENV_SEED, 0))
+            env = os.environ.get(ENV_SEED, "0")
+            try:
+                seed = int(env)
+            except ValueError:
+                raise ValueError(f"environment variable {ENV_SEED}: invalid seed {env!r}") from None
         cfg = PipelineConfig(
             scenario=value("scenario", str),
             hierarchy=value("hierarchy", base.joinpath),
@@ -100,11 +105,11 @@ class PipelineConfig:
             ratings=value("ratings", base.joinpath),
             scheme=value("scheme", base.joinpath) if "scheme" in doc else None,
             seed=int(seed),
-            droplets=value("droplets", int, 20_000),
+            droplets=value("droplets", json_int, 20_000),
             aggregation=value("aggregation", str, "linear"),
-            sigma=float(sigma) if sigma is not None else value("sigma", float, 0.8),
-            tau=float(tau) if tau is not None else value("tau", float, 0.1),
-            max_iter=value("max_iter", int, 20),
+            sigma=float(sigma) if sigma is not None else value("sigma", json_float, 0.8),
+            tau=float(tau) if tau is not None else value("tau", json_float, 0.1),
+            max_iter=value("max_iter", json_int, 20),
         )
         unknown = sorted(doc.keys() - {f.name for f in fields(PipelineConfig)})
         if unknown:
@@ -125,12 +130,20 @@ class PipelineInputs:
 @dataclass
 class WeightSet:
     theta: tuple[float, float]
-    global_subjective: WeightVector
-    global_objective: WeightVector
-    global_combined: WeightVector
     criterion: dict[str, WeightVector]           # kind -> weights over criterion ids
+    indicator_global: dict[str, WeightVector]    # kind -> weights over all leaves
     local_combined: dict[str, WeightVector]      # criterion id -> leaf weights within it
     entropies: dict[str, float]
+
+    def to_dict(self) -> dict:
+        """The `weights` section of report.json; `cli weights` prints slices of it."""
+        return {
+            "theta": {"subjective": self.theta[0], "objective": self.theta[1]},
+            "criterion": {k: v.as_dict() for k, v in self.criterion.items()},
+            "indicator_global": {k: v.as_dict() for k, v in self.indicator_global.items()},
+            "indicator_local_combined": {cid: v.as_dict() for cid, v in self.local_combined.items()},
+            "indicator_entropy": self.entropies,
+        }
 
 
 @dataclass
@@ -154,18 +167,14 @@ class EvaluationReport:
 
     def to_json_bytes(self) -> bytes:
         """The report.json bytes: sorted keys, every float at REPORT_DIGITS
-        significant digits, so the bytes are the same on every platform.
-        `to_dict` and the report itself keep full precision."""
+        significant digits, so a one-ulp platform difference leaves them unchanged
+        unless it crosses a rounding boundary. `to_dict` keeps full precision."""
         self._check_simplex()
         return (json.dumps(_round_floats(self.to_dict()), sort_keys=True, indent=2) + "\n").encode()
 
     def _check_simplex(self) -> None:
         # defense in depth: every emitted weight table must sit on the simplex
-        tables = [self.weights["criterion"][k] for k in self.weights["criterion"]]
-        tables.append(self.weights["indicator_global"]["combined"])
-        tables.append(self.weights["indicator_global"]["subjective"])
-        tables.append(self.weights["indicator_global"]["objective"])
-        for table in tables:
+        for table in [*self.weights["criterion"].values(), *self.weights["indicator_global"].values()]:
             total = sum(table.values())
             if abs(total - 1.0) > 1e-9 or any(v < -1e-12 for v in table.values()):
                 raise ValueError(f"weight table leaves the simplex (sum {total})")
@@ -245,52 +254,36 @@ def _subjective_weights(inputs: PipelineInputs, cfg: PipelineConfig
     return crit_w, local
 
 
-def _level_sums(h: IndexHierarchy, global_w: WeightVector) -> WeightVector:
-    """Criterion-layer weights as per-criterion sums of global leaf weights."""
-    table = global_w.as_dict()
-    ids = h.criterion_ids()
-    sums = np.array([sum(table[leaf] for leaf in leaf_indicators(h, cid)) for cid in ids])
-    return WeightVector(tuple(ids), sums / sums.sum())
-
-
-def _localize(h: IndexHierarchy, global_w: WeightVector) -> dict[str, WeightVector]:
-    """Renormalize global leaf weights within each criterion (uniform if all zero)."""
-    table = global_w.as_dict()
-    out = {}
+def _by_criterion(h: IndexHierarchy, w: WeightVector) -> tuple[WeightVector, dict[str, WeightVector]]:
+    """Per-criterion sums of global leaf weights (in leaf order), renormalized, and each
+    criterion's leaf weights renormalized within it (uniform if all zero)."""
+    sums, local, start = [], {}, 0
     for cid in h.criterion_ids():
         ids = leaf_indicators(h, cid)
-        w = np.array([table[leaf] for leaf in ids])
-        total = w.sum()
-        w = np.full(len(ids), 1.0 / len(ids)) if total == 0 else w / total
-        out[cid] = WeightVector(tuple(ids), w)
-    return out
+        part = w.weights[start:start + len(ids)]
+        start += len(ids)
+        sums.append(sum(part.tolist()))
+        total = part.sum()
+        local[cid] = WeightVector(tuple(ids), np.full(len(ids), 1.0 / len(ids)) if total == 0 else part / total)
+    sums = np.array(sums)
+    return WeightVector(tuple(h.criterion_ids()), sums / sums.sum()), local
 
 
 def compute_weights(inputs: PipelineInputs, cfg: PipelineConfig) -> WeightSet:
     h = inputs.hierarchy
     crit_s, local_s = _subjective_weights(inputs, cfg)
-
-    # global subjective = criterion weight x local leaf weight
-    crit_table = crit_s.as_dict()
-    gs = {leaf: crit_table[cid] * lw
-          for cid, wv in local_s.items() for leaf, lw in wv.as_dict().items()}
-    global_s = WeightVector(tuple(inputs.leaves), np.array([gs[i] for i in inputs.leaves]))
-
+    # global subjective = criterion weight x local leaf weight, in leaf order
+    global_s = WeightVector(tuple(inputs.leaves), np.concatenate(
+        [w * local_s[cid].weights for cid, w in zip(crit_s.indicator_ids, crit_s.weights)]))
     global_o, entropies = entropy_weights(inputs.normalized)
     combo = combine_weights(global_s, global_o, inputs.normalized)
-
-    criterion = {
-        "subjective": crit_s,
-        "objective": _level_sums(h, global_o),
-        "combined": _level_sums(h, combo.combined),
-    }
+    crit_c, local_c = _by_criterion(h, combo.combined)
     return WeightSet(
         theta=combo.theta,
-        global_subjective=global_s,
-        global_objective=global_o,
-        global_combined=combo.combined,
-        criterion=criterion,
-        local_combined=_localize(h, combo.combined),
+        criterion={"subjective": crit_s, "objective": _by_criterion(h, global_o)[0],
+                   "combined": crit_c},
+        indicator_global={"subjective": global_s, "objective": global_o, "combined": combo.combined},
+        local_combined=local_c,
         entropies=dict(zip(inputs.leaves, (float(e) for e in entropies))),
     )
 
@@ -323,7 +316,6 @@ def run_pipeline(config: PipelineConfig | str | Path, out_dir: str | Path | None
         raise ValueError(f"droplets.csv needs at least {MIN_DROPLETS} droplets, got {cfg.droplets}")
     inputs = load_inputs(cfg)
     ws = compute_weights(inputs, cfg)
-    h = inputs.hierarchy
     leaf_clouds, crit_clouds, comprehensive = score_clouds(inputs, ws, cfg)
 
     (grade, sim_table), *crit_grades = grade_clouds([comprehensive, *crit_clouds.values()], inputs.scheme)
@@ -332,26 +324,16 @@ def run_pipeline(config: PipelineConfig | str | Path, out_dir: str | Path | None
 
     leaf_scores = [min(100.0, max(0.0, leaf_clouds[i].ex)) for i in inputs.leaves]
     m = membership_matrix(leaf_scores, inputs.scheme)
-    fce = fce_score(m, ws.global_combined, inputs.scheme)
+    fce = fce_score(m, ws.indicator_global["combined"], inputs.scheme)
 
     report = EvaluationReport(
         scenario=cfg.scenario,
         seed=cfg.seed,
         aggregation=cfg.aggregation,
-        hierarchy_digest=hierarchy_digest(h),
+        hierarchy_digest=hierarchy_digest(inputs.hierarchy),
         scheme={"he_ratio": inputs.scheme.he_ratio,
                 "bands": [{"label": l, "lower": lo, "upper": hi} for l, lo, hi in inputs.scheme.bands]},
-        weights={
-            "theta": {"subjective": ws.theta[0], "objective": ws.theta[1]},
-            "criterion": {k: v.as_dict() for k, v in ws.criterion.items()},
-            "indicator_global": {
-                "subjective": ws.global_subjective.as_dict(),
-                "objective": ws.global_objective.as_dict(),
-                "combined": ws.global_combined.as_dict(),
-            },
-            "indicator_local_combined": {cid: v.as_dict() for cid, v in ws.local_combined.items()},
-            "indicator_entropy": ws.entropies,
-        },
+        weights=ws.to_dict(),
         criterion_clouds=crit_entries,
         comprehensive_cloud={"ex": comprehensive.ex, "en": comprehensive.en, "he": comprehensive.he},
         grade=grade,

@@ -1,4 +1,5 @@
 import csv
+import itertools
 import json
 from pathlib import Path
 
@@ -10,6 +11,7 @@ from cloudmcdm.cli import main as cli_main
 from cloudmcdm.pipeline import (
     EvaluationReport,
     PipelineConfig,
+    _round_floats,
     compare_scenarios,
     run_pipeline,
 )
@@ -36,13 +38,13 @@ def _map_floats(doc, fn):
 
 
 @pytest.mark.parametrize("toward", [np.inf, -np.inf])
-def test_report_bytes_survive_one_ulp_drift(report_before, toward):
+def test_report_bytes_survive_one_ulp_drift(report_before, report_after, toward):
     # platform drift (numpy's SIMD exp differs by an ulp between builds and CPUs)
-    # must not reach report.json: nudge every nonzero float by one ulp
-    nudged = _map_floats(report_before.to_dict(),
-                         lambda v: float(np.nextafter(v, toward)) if v != 0.0 else v)
-    assert nudged != report_before.to_dict()
-    assert EvaluationReport.from_dict(nudged).to_json_bytes() == report_before.to_json_bytes()
+    # must not reach either demo report.json: nudge every nonzero float by one ulp
+    for report in (report_before, report_after):
+        nudged = _map_floats(report.to_dict(), lambda v: float(np.nextafter(v, toward)) if v != 0.0 else v)
+        assert nudged != report.to_dict()
+        assert EvaluationReport.from_dict(nudged).to_json_bytes() == report.to_json_bytes()
 
 
 def test_report_structure(report_before):
@@ -232,6 +234,23 @@ def test_repeated_band_label_exits_2(tmp_path, capsys):
     ("config_before.json", lambda doc: doc.update(droplets=None), "'droplets'"),
     ("scheme.json", lambda doc: doc["bands"][1].update(lower=None), "'bands[1].lower'"),
     ("hierarchy.json", lambda doc: doc["root"]["children"][2]["children"].append("oops"), "'oops'"),
+    # a boolean, a string or a fraction where a number or an integer belongs is rejected,
+    # not coerced or truncated
+    pytest.param("config_before.json", lambda doc: doc.update(seed=1.7), "'seed'", id="seed-fraction"),
+    pytest.param("config_before.json", lambda doc: doc.update(max_iter=2.5), "'max_iter'", id="max_iter-fraction"),
+    pytest.param("config_before.json", lambda doc: doc.update(droplets=20000.9), "'droplets'",
+                 id="droplets-fraction"),
+    pytest.param("config_before.json", lambda doc: doc.update(seed=True), "'seed'", id="seed-bool"),
+    pytest.param("config_before.json", lambda doc: doc.update(tau=True), "'tau'", id="tau-bool"),
+    pytest.param("config_before.json", lambda doc: doc.update(sigma="0.8"), "'sigma'", id="sigma-string"),
+    pytest.param("scheme.json", lambda doc: doc.update(he_ratio="0.1"), "'he_ratio'", id="he_ratio-string"),
+    # Python's json reads NaN, Infinity and 1e400, which no number key accepts
+    pytest.param("config_before.json", lambda doc: doc.update(tau=float("nan")), "'tau'", id="tau-nan"),
+    pytest.param("scheme.json", lambda doc: doc.update(he_ratio=float("inf")), "'he_ratio'", id="he_ratio-inf"),
+    pytest.param("scheme.json", lambda doc: doc["bands"][1].update(lower=10**400), "'bands[1].lower'",
+                 id="lower-overflow"),
+    pytest.param("scheme.json", lambda doc: doc["bands"][0].update(upper=True), "'bands[0].upper'",
+                 id="upper-bool"),
 ])
 def test_malformed_json_value_exits_2(tmp_path, capsys, name, edit, key):
     _copy_demo(tmp_path)
@@ -314,12 +333,23 @@ def test_validate_cli(capsys):
     assert doc["ok"] is True and len(doc["leaves"]) == 34
 
 
-def test_weights_cli_selectors(capsys):
-    rc = cli_main(["weights", str(DEMO / "config_before.json"), "--combined"])
-    assert rc == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert list(doc) == ["combined"]
-    assert set(doc["combined"]) == {"theta", "criterion", "indicator_global"}
+def test_weights_cli_selectors(tmp_path, capsys):
+    # `weights` prints per-kind slices of report.json's `weights` section, whatever
+    # the selectors; report.json holds them at REPORT_DIGITS significant digits
+    config = str(DEMO / "config_before.json")
+    assert cli_main(["evaluate", config, "--out", str(tmp_path)]) == 0
+    w = json.loads((tmp_path / "report.json").read_text())["weights"]
+    extra = {"subjective": {}, "objective": {"indicator_entropy": w["indicator_entropy"]},
+             "combined": {"theta": w["theta"]}}
+    capsys.readouterr()
+    for r in range(4):
+        for kinds in itertools.combinations(["subjective", "objective", "combined"], r):
+            assert cli_main(["weights", config, *(f"--{k}" for k in kinds)]) == 0
+            out = capsys.readouterr().out
+            want = {k: {"criterion": w["criterion"][k], "indicator_global": w["indicator_global"][k], **extra[k]}
+                    for k in kinds or extra}
+            assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+            assert _round_floats(json.loads(out)) == want, kinds
 
 
 def test_compare_cli(tmp_path, capsys):
@@ -364,6 +394,20 @@ def test_seed_env_fallback(tmp_path, monkeypatch):
     assert PipelineConfig.from_json(cfg_path, seed=1).seed == 1
     monkeypatch.delenv("CLOUDMCDM_SEED")
     assert PipelineConfig.from_json(cfg_path).seed == 0
+
+
+def test_malformed_seed_env_exits_2_naming_it(tmp_path, monkeypatch, capsys):
+    _copy_demo(tmp_path)
+    cfg = tmp_path / "config_before.json"
+    doc = json.loads(cfg.read_text())
+    del doc["seed"]
+    cfg.write_text(json.dumps(doc))
+    monkeypatch.setenv("CLOUDMCDM_SEED", "abc")
+    assert cli_main(["validate", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "CLOUDMCDM_SEED" in err and "'abc'" in err
+    # an explicit seed still takes precedence over the environment
+    assert PipelineConfig.from_json(cfg, seed=3).seed == 3
 
 
 def test_missing_config_key(tmp_path):
