@@ -22,6 +22,7 @@ from .pipeline import (
     compute_weights,
     droplets_csv_bytes,
     load_inputs,
+    load_judgments,
     run_pipeline,
     score_clouds,
 )
@@ -42,7 +43,8 @@ def cmd_validate(args) -> int:
     if violations:
         _emit({"ok": False, "violations": violations})
         return 2
-    load_inputs(cfg)  # checks data, ratings, matrices references, scheme
+    load_inputs(cfg)  # checks data, ratings and scheme
+    load_judgments(h, cfg)
     _emit({"ok": True, "leaves": leaf_indicators(h), "criteria": h.criterion_ids()})
     return 0
 

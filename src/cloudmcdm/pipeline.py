@@ -39,7 +39,8 @@ from .dataprep import (DataMatrix, json_float, json_int, json_value, load_data_c
 from .ewm import WeightVector, entropy_weights
 from .fce import fce_score, membership_matrix
 from .hierarchy import IndexHierarchy, leaf_indicators, load_hierarchy, validate_hierarchy
-from .iahp import RepairConfig, auto_correct, load_judgment_csv, principal_weights
+from .iahp import (RepairConfig, auto_correct, load_judgment_csv, principal_weights, to_preference,
+                   validate_judgment)
 
 ENV_SEED = "CLOUDMCDM_SEED"
 
@@ -48,6 +49,10 @@ ENV_SEED = "CLOUDMCDM_SEED"
 # the CPU; a 1-ulp change in any demo report value does not change it at 12 digits,
 # and the quadrature itself is only accurate to about 1e-14.
 REPORT_DIGITS = 12
+
+# droplets.csv rows formatted per orjson call; small enough that a block falling
+# back to repr costs little and the block's text stays small beside the file
+CSV_BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -88,8 +93,12 @@ class PipelineConfig:
                 raise TypeError("expected a JSON object")
             return {k: base / v for k, v in table.items()}
 
+        # the file's values are checked even when an argument overrides them
+        file_seed = value("seed", lambda v: v if v is None else json_int(v), None)
+        file_sigma = value("sigma", json_float, 0.8)
+        file_tau = value("tau", json_float, 0.1)
         if seed is None:
-            seed = value("seed", lambda v: v if v is None else json_int(v), None)
+            seed = file_seed
         if seed is None:
             env = os.environ.get(ENV_SEED, "0")
             try:
@@ -107,8 +116,8 @@ class PipelineConfig:
             seed=int(seed),
             droplets=value("droplets", json_int, 20_000),
             aggregation=value("aggregation", str, "linear"),
-            sigma=float(sigma) if sigma is not None else value("sigma", json_float, 0.8),
-            tau=float(tau) if tau is not None else value("tau", json_float, 0.1),
+            sigma=file_sigma if sigma is None else float(sigma),
+            tau=file_tau if tau is None else float(tau),
             max_iter=value("max_iter", json_int, 20),
         )
         unknown = sorted(doc.keys() - {f.name for f in fields(PipelineConfig)})
@@ -227,31 +236,53 @@ def load_inputs(cfg: PipelineConfig) -> PipelineInputs:
     return PipelineInputs(h, leaves, data, z, ratings, scheme)
 
 
+def load_judgments(h: IndexHierarchy, cfg: PipelineConfig) -> dict[str, np.ndarray]:
+    """Every judgment matrix the hierarchy needs, loaded and checked before any is
+    repaired: the criterion matrix under the root id, then each criterion's leaf
+    matrix under its id. A group of one needs no matrix and has no entry.
+
+    A matrix whose order does not match its group, that is not a valid reciprocal
+    matrix or that holds an entry off the 1/9..9 scale is a ValueError naming the file.
+    """
+    judgments = {}
+
+    def load(key: str, path: Path, ids: list[str], what: str) -> None:
+        if len(ids) == 1:
+            return
+        j = load_judgment_csv(path)
+        if j.shape[0] != len(ids):
+            raise ValueError(f"{path}: order {j.shape[0]} does not match {len(ids)} {what}")
+        try:
+            validate_judgment(j)
+            to_preference(j)  # rejects an entry off the scale
+        except ValueError as e:
+            raise ValueError(f"{path}: {e}") from None
+        judgments[key] = j
+
+    load(h.root_id, cfg.criterion_matrix, h.criterion_ids(), "criteria")
+    for cid in h.criterion_ids():
+        ids = leaf_indicators(h, cid)
+        if len(ids) > 1 and cid not in cfg.indicator_matrices:
+            raise ValueError(f"no judgment matrix configured for criterion {cid!r}")
+        load(cid, cfg.indicator_matrices.get(cid), ids, f"leaves of {cid}")
+    return judgments
+
+
 def _subjective_weights(inputs: PipelineInputs, cfg: PipelineConfig
                         ) -> tuple[WeightVector, dict[str, WeightVector]]:
     """Criterion-layer weights and per-criterion local leaf weights via repaired AHP."""
     h = inputs.hierarchy
     repair = RepairConfig(sigma=cfg.sigma, tau=cfg.tau, max_iter=cfg.max_iter)
-    crit_ids = h.criterion_ids()
+    judgments = load_judgments(h, cfg)
 
-    def weights_for(matrix_path: Path, ids: list[str], what: str) -> WeightVector:
-        if len(ids) == 1:
+    def weights_for(key: str, ids: list[str]) -> WeightVector:
+        if key not in judgments:
             return WeightVector(tuple(ids), np.array([1.0]))
-        j = load_judgment_csv(matrix_path)
-        if j.shape[0] != len(ids):
-            raise ValueError(f"{matrix_path}: order {j.shape[0]} does not match {len(ids)} {what}")
-        repaired, _ = auto_correct(j, repair)
+        repaired, _ = auto_correct(judgments[key], repair)
         return principal_weights(repaired, ids=ids)
 
-    crit_w = weights_for(cfg.criterion_matrix, crit_ids, "criteria")
-    local: dict[str, WeightVector] = {}
-    for cid in crit_ids:
-        ids = leaf_indicators(h, cid)
-        if len(ids) > 1 and cid not in cfg.indicator_matrices:
-            raise ValueError(f"no judgment matrix configured for criterion {cid!r}")
-        path = cfg.indicator_matrices.get(cid)
-        local[cid] = weights_for(path, ids, f"leaves of {cid}")
-    return crit_w, local
+    return (weights_for(h.root_id, h.criterion_ids()),
+            {cid: weights_for(cid, leaf_indicators(h, cid)) for cid in h.criterion_ids()})
 
 
 def _by_criterion(h: IndexHierarchy, w: WeightVector) -> tuple[WeightVector, dict[str, WeightVector]]:
@@ -356,11 +387,32 @@ def run_pipeline(config: PipelineConfig | str | Path, out_dir: str | Path | None
 
 
 def droplets_csv_bytes(drops) -> bytes:
-    """`x,mu` header, then one row per droplet with each value as its shortest round-trip repr."""
+    """`x,mu` header, then one `x,mu` row per droplet, each value as Python's
+    `repr` of the float64: its shortest round-trip digits.
+
+    orjson writes the same digits, and the same text wherever 1e-4 <= |v| < 1e16
+    or v is +-0.0; outside that range it drops repr's exponent sign and padding
+    (`1e-7`, not `1e-07`). Rows go to orjson in blocks of CSV_BLOCK_ROWS, and a
+    block holding a value outside that range (or a non-finite one) is formatted
+    with repr instead.
+    """
+    import orjson  # local import: validate and weights never load it
+
     n = len(drops.x)
-    xmu = np.empty(2 * n)  # float64, so an integer value still reads 50.0
-    xmu[0::2], xmu[1::2] = drops.x, drops.mu
-    return (("x,mu\n" + "%r,%r\n" * n) % tuple(xmu.tolist())).encode()
+    xmu = np.empty((n, 2))  # float64, so an integer value still reads 50.0
+    xmu[:, 0], xmu[:, 1] = drops.x, drops.mu
+    a = np.abs(xmu)
+    plain = ((a == 0) | ((a >= 1e-4) & (a < 1e16))).all(axis=1)
+    lines = [b"x,mu"]
+    for lo in range(0, n, CSV_BLOCK_ROWS):
+        rows = xmu[lo:lo + CSV_BLOCK_ROWS]
+        if plain[lo:lo + CSV_BLOCK_ROWS].all():
+            # [[a,b],[c,d]] -> a,b\nc,d
+            lines.append(orjson.dumps(rows, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2].replace(b"],[", b"\n"))
+        else:
+            lines.append("\n".join(f"{x!r},{mu!r}" for x, mu in rows.tolist()).encode())
+    lines.append(b"")
+    return b"\n".join(lines)
 
 
 def compare_scenarios(a: EvaluationReport | dict, b: EvaluationReport | dict) -> dict:

@@ -14,7 +14,7 @@ from helpers import REPO
 
 from cloudmcdm import svgplot
 from cloudmcdm.cloud import DEFAULT_SCHEME, CloudParams, forward_cloud
-from cloudmcdm.pipeline import droplets_csv_bytes, run_pipeline
+from cloudmcdm.pipeline import CSV_BLOCK_ROWS, droplets_csv_bytes, run_pipeline
 from cloudmcdm.svgplot import cloud_diagram
 
 
@@ -121,6 +121,68 @@ _finite = st.one_of(
 def test_writers_match_reference_on_any_finite_floats(pairs):
     xs, mus = (np.array(v, dtype=np.float64) for v in zip(*pairs))
     assert_writers_match(xs, mus)
+
+
+# droplets.csv is written by orjson where 1e-4 <= |v| < 1e16 or v is +-0.0, and by
+# repr elsewhere; these sit on and next to both edges of that range
+_RANGE_EDGES = [1e-4, float(np.nextafter(1e-4, 0)), 1e16, float(np.nextafter(1e16, 0)), 5e-324, 0.0, -0.0]
+_IN_RANGE = [1e-4, float(np.nextafter(1e16, 0)), 0.0, -0.0, -1e-4, -83.5, 50.0]
+
+
+@pytest.mark.parametrize("v", _RANGE_EDGES)
+@pytest.mark.parametrize("x_sign", [1, -1])
+def test_droplets_csv_matches_repr_at_range_edges(v, x_sign):
+    xs = np.array([x_sign * v, x_sign * 83.5, x_sign * v])
+    assert_writers_match(xs, np.array([0.5, v, v]))
+
+
+def test_droplets_csv_in_range_edges_read_as_repr():
+    xs, mus = np.array(_IN_RANGE), np.array(_IN_RANGE[::-1])
+    assert droplets_csv_bytes(SimpleNamespace(x=xs, mu=mus)) == (
+        b"x,mu\n0.0001,50.0\n9999999999999998.0,-83.5\n0.0,-0.0001\n-0.0,-0.0\n"
+        b"-0.0001,0.0\n-83.5,9999999999999998.0\n50.0,0.0001\n")
+
+
+def _multi_block_droplets():
+    """Demo-like droplets over two full blocks and part of a third, all in range."""
+    drops = forward_cloud(CloudParams(83.5, 2.0, 0.2), 2 * CSV_BLOCK_ROWS + 17, 3)
+    assert np.all(np.abs(drops.x) >= 1e-4) and np.all(drops.mu >= 1e-4)
+    return drops.x.copy(), drops.mu.copy()
+
+
+@pytest.mark.parametrize("row", [0, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 500,
+                                 2 * CSV_BLOCK_ROWS + 16])
+@pytest.mark.parametrize("column, v", [("mu", 3e-5), ("mu", 1e-7), ("x", 1e16), ("x", -2.5e-5)])
+def test_droplets_csv_one_row_out_of_range_in_a_block(row, column, v):
+    xs, mus = _multi_block_droplets()
+    (xs if column == "x" else mus)[row] = v
+    assert_writers_match(xs, mus)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 2 * CSV_BLOCK_ROWS + 16), _finite, _finite), max_size=6))
+def test_droplets_csv_matches_repr_with_any_finite_rows_in_any_block(rows):
+    xs, mus = _multi_block_droplets()
+    for row, x, mu in rows:
+        xs[row], mus[row] = x, mu
+    drops = SimpleNamespace(x=xs, mu=mus)
+    assert droplets_csv_bytes(drops) == reference_droplets_csv_bytes(drops)
+
+
+_in_range = st.one_of(
+    st.floats(min_value=1e-4, max_value=1e16, exclude_max=True),
+    st.floats(min_value=-1e16, max_value=-1e-4, exclude_min=True),
+    st.sampled_from(_IN_RANGE),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_in_range, _in_range), min_size=1, max_size=40))
+def test_droplets_csv_matches_repr_on_any_in_range_floats(pairs):
+    # every value here goes through orjson
+    xs, mus = (np.array(v, dtype=np.float64) for v in zip(*pairs))
+    drops = SimpleNamespace(x=xs, mu=mus)
+    assert droplets_csv_bytes(drops) == reference_droplets_csv_bytes(drops)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7])

@@ -41,3 +41,19 @@ def test_demo_script_runs(tmp_path, script):
                          capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
     assert run.stdout
+
+
+def test_orjson_loads_only_with_the_droplet_writer():
+    # orjson formats droplets.csv; importing the CLI and the commands that write
+    # no droplets (validate, weights) leave it unloaded
+    code = ("import sys, contextlib, io\n"
+            "import cloudmcdm.cli as cli\n"
+            "assert 'orjson' not in sys.modules, 'import'\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    for cmd in ('validate', 'weights'):\n"
+            f"        assert cli.main([cmd, {str(DEMO / 'config_before.json')!r}]) == 0\n"
+            "        assert 'orjson' not in sys.modules, cmd\n")
+    path = [str(REPO / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr

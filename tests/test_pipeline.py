@@ -326,6 +326,40 @@ def test_over_long_csv_field_exits_2(tmp_path, capsys, name, row, col):
     assert name.split("/")[-1] in err and "field larger than field limit" in err
 
 
+@pytest.mark.parametrize("name, text", [
+    ("judgment/C1.csv", "garbage,x\n"),
+    ("judgment/C4.csv", "1,2\n1/2,1\n"),  # order 2 for the leaves of C4
+    ("judgment/criteria.csv", None),  # diagonal cell (1,1) of 2
+])
+def test_validate_checks_judgment_matrices_as_weights_does(tmp_path, capsys, name, text):
+    _copy_demo(tmp_path)
+    if text is None:
+        _set_csv_cell(tmp_path / name, 0, 0, "2")
+    else:
+        (tmp_path / name).write_text(text)
+    config = str(tmp_path / "config_before.json")
+    assert cli_main(["weights", config]) == 2
+    weights_err = capsys.readouterr().err
+    assert cli_main(["validate", config]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == weights_err
+    assert f"error: {tmp_path / name}: " in err
+
+
+@pytest.mark.parametrize("edit, key", [
+    (dict(seed=1.7), "'seed'"),
+    (dict(sigma="x"), "'sigma'"),
+    (dict(tau=True), "'tau'"),
+])
+def test_cli_override_still_checks_the_config_value(tmp_path, capsys, edit, key):
+    _copy_demo(tmp_path)
+    cfg = tmp_path / "config_before.json"
+    cfg.write_text(json.dumps(dict(json.loads(cfg.read_text()), **edit)))
+    assert cli_main(["--seed", "3", "--sigma", "0.5", "--tau", "0.2", "validate", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert str(cfg) in err and key in err
+
+
 def test_validate_cli(capsys):
     rc = cli_main(["validate", str(DEMO / "config_before.json")])
     assert rc == 0
