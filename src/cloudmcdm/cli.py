@@ -13,7 +13,6 @@ from pathlib import Path
 
 from .cloud import forward_cloud
 from .dataprep import read_json
-from .hierarchy import leaf_indicators, load_hierarchy, validate_hierarchy
 from .iahp import RepairError
 from .pipeline import (
     EvaluationReport,
@@ -22,7 +21,6 @@ from .pipeline import (
     compute_weights,
     droplets_csv_bytes,
     load_inputs,
-    load_judgments,
     run_pipeline,
     score_clouds,
 )
@@ -37,15 +35,8 @@ def _emit(doc: dict) -> None:
 
 
 def cmd_validate(args) -> int:
-    cfg = _load_config(args)
-    h = load_hierarchy(cfg.hierarchy)
-    violations = validate_hierarchy(h)
-    if violations:
-        _emit({"ok": False, "violations": violations})
-        return 2
-    load_inputs(cfg)  # checks data, ratings and scheme
-    load_judgments(h, cfg)
-    _emit({"ok": True, "leaves": leaf_indicators(h), "criteria": h.criterion_ids()})
+    inputs = load_inputs(_load_config(args))  # the loading half of every other command
+    _emit({"ok": True, "leaves": inputs.leaves, "criteria": inputs.hierarchy.criterion_ids()})
     return 0
 
 

@@ -67,9 +67,7 @@ class PipelineConfig:
     seed: int = 0
     droplets: int = 20_000
     aggregation: str = "linear"
-    sigma: float = 0.8
-    tau: float = 0.1
-    max_iter: int = 20
+    repair: RepairConfig = RepairConfig()  # keys sigma, tau and max_iter
 
     @staticmethod
     def from_json(path: str | Path, seed: int | None = None, sigma: float | None = None,
@@ -85,7 +83,10 @@ class PipelineConfig:
         doc = read_json(path)
         base = path.parent
 
+        read = set()
+
         def value(key, convert, default=MISSING):
+            read.add(key)
             return json_value(path, doc, key, convert, default)
 
         def refs(table):
@@ -116,11 +117,11 @@ class PipelineConfig:
             seed=int(seed),
             droplets=value("droplets", json_int, 20_000),
             aggregation=value("aggregation", str, "linear"),
-            sigma=file_sigma if sigma is None else float(sigma),
-            tau=file_tau if tau is None else float(tau),
-            max_iter=value("max_iter", json_int, 20),
+            repair=RepairConfig(sigma=file_sigma if sigma is None else float(sigma),
+                                tau=file_tau if tau is None else float(tau),
+                                max_iter=value("max_iter", json_int, 20)),
         )
-        unknown = sorted(doc.keys() - {f.name for f in fields(PipelineConfig)})
+        unknown = sorted(doc.keys() - read)
         if unknown:
             raise ValueError(f"{path}: unknown config keys {', '.join(map(repr, unknown))}")
         return cfg
@@ -134,6 +135,7 @@ class PipelineInputs:
     normalized: DataMatrix
     ratings: DataMatrix
     scheme: GradeScheme
+    judgments: dict[str, np.ndarray]  # see _load_judgments
 
 
 @dataclass
@@ -233,10 +235,10 @@ def load_inputs(cfg: PipelineConfig) -> PipelineInputs:
             raise ValueError(f"{cfg.ratings}: {what} at sample {ratings.object_ids[s]!r}, "
                              f"indicator {ratings.indicator_ids[k]!r}: {float(ratings.values[s, k])}")
     scheme = load_scheme(cfg.scheme) if cfg.scheme else DEFAULT_SCHEME
-    return PipelineInputs(h, leaves, data, z, ratings, scheme)
+    return PipelineInputs(h, leaves, data, z, ratings, scheme, _load_judgments(h, cfg))
 
 
-def load_judgments(h: IndexHierarchy, cfg: PipelineConfig) -> dict[str, np.ndarray]:
+def _load_judgments(h: IndexHierarchy, cfg: PipelineConfig) -> dict[str, np.ndarray]:
     """Every judgment matrix the hierarchy needs, loaded and checked before any is
     repaired: the criterion matrix under the root id, then each criterion's leaf
     matrix under its id. A group of one needs no matrix and has no entry.
@@ -272,13 +274,11 @@ def _subjective_weights(inputs: PipelineInputs, cfg: PipelineConfig
                         ) -> tuple[WeightVector, dict[str, WeightVector]]:
     """Criterion-layer weights and per-criterion local leaf weights via repaired AHP."""
     h = inputs.hierarchy
-    repair = RepairConfig(sigma=cfg.sigma, tau=cfg.tau, max_iter=cfg.max_iter)
-    judgments = load_judgments(h, cfg)
 
     def weights_for(key: str, ids: list[str]) -> WeightVector:
-        if key not in judgments:
+        if key not in inputs.judgments:
             return WeightVector(tuple(ids), np.array([1.0]))
-        repaired, _ = auto_correct(judgments[key], repair)
+        repaired, _ = auto_correct(inputs.judgments[key], cfg.repair)
         return principal_weights(repaired, ids=ids)
 
     return (weights_for(h.root_id, h.criterion_ids()),
