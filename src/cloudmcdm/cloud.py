@@ -184,12 +184,17 @@ def grade_cloud(band: tuple[float, float], he_ratio: float = 0.1) -> CloudParams
     return CloudParams(ex=(lo + hi) / 2.0, en=en, he=he_ratio * en)
 
 
+AGGREGATIONS = ("linear", "quadratic")
+
+
 def aggregate_clouds(children: list[CloudParams], w, strategy: str = "linear") -> CloudParams:
     """Weighted aggregation of child clouds into a parent cloud.
 
     linear (default): weighted mean of each parameter. quadratic: weighted
     mean of Ex, root-sum-square of weighted En and He.
     """
+    if strategy not in AGGREGATIONS:
+        raise ValueError(f"unknown aggregation strategy {strategy!r}")
     weights = np.asarray(getattr(w, "weights", w), dtype=float)
     if len(children) != weights.size:
         raise ValueError(f"{len(children)} clouds but {weights.size} weights")
@@ -200,13 +205,11 @@ def aggregate_clouds(children: list[CloudParams], w, strategy: str = "linear") -
     he = np.array([c.he for c in children])
     if strategy == "linear":
         return CloudParams(float(weights @ ex), float(weights @ en), float(weights @ he))
-    if strategy == "quadratic":
-        return CloudParams(
-            float(weights @ ex),
-            float(np.sqrt(np.sum(weights**2 * en**2))),
-            float(np.sqrt(np.sum(weights**2 * he**2))),
-        )
-    raise ValueError(f"unknown aggregation strategy {strategy!r}")
+    return CloudParams(
+        float(weights @ ex),
+        float(np.sqrt(np.sum(weights**2 * en**2))),
+        float(np.sqrt(np.sum(weights**2 * he**2))),
+    )
 
 
 @functools.cache  # built on first use, once per process, so importing costs nothing

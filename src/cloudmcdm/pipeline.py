@@ -22,6 +22,7 @@ import numpy as np
 
 from . import __version__
 from .cloud import (
+    AGGREGATIONS,
     CloudParams,
     DEFAULT_SCHEME,
     MIN_DROPLETS,
@@ -68,13 +69,15 @@ class PipelineConfig:
     droplets: int = 20_000
     aggregation: str = "linear"
     repair: RepairConfig = RepairConfig()  # keys sigma, tau and max_iter
+    source: Path | None = None  # the config file, named in errors about its keys
 
     @staticmethod
     def from_json(path: str | Path, seed: int | None = None, sigma: float | None = None,
                   tau: float | None = None) -> "PipelineConfig":
         """Load a config file; paths resolve relative to the file. A syntax
-        error, a missing or mistyped value and a key that is not a field are
-        ValueErrors naming the file and key.
+        error, a missing, mistyped or out-of-range value and an unknown key are
+        ValueErrors naming the file and key; a `sigma` or `tau` argument out of
+        range is one naming neither.
 
         Seed precedence: explicit argument > config value > CLOUDMCDM_SEED
         environment variable > 0.
@@ -94,10 +97,20 @@ class PipelineConfig:
                 raise TypeError("expected a JSON object")
             return {k: base / v for k, v in table.items()}
 
+        def aggregation(v):
+            if v not in AGGREGATIONS:
+                raise ValueError(f"expected one of {AGGREGATIONS}")
+            return v
+
+        def repair_value(key, convert):
+            # RepairConfig checks the file's value on its own, so that an error names the key
+            return value(key, lambda v: getattr(RepairConfig(**{key: convert(v)}), key),
+                         getattr(RepairConfig, key))
+
         # the file's values are checked even when an argument overrides them
         file_seed = value("seed", lambda v: v if v is None else json_int(v), None)
-        file_sigma = value("sigma", json_float, 0.8)
-        file_tau = value("tau", json_float, 0.1)
+        file_sigma = repair_value("sigma", json_float)
+        file_tau = repair_value("tau", json_float)
         if seed is None:
             seed = file_seed
         if seed is None:
@@ -116,10 +129,11 @@ class PipelineConfig:
             scheme=value("scheme", base.joinpath) if "scheme" in doc else None,
             seed=int(seed),
             droplets=value("droplets", json_int, 20_000),
-            aggregation=value("aggregation", str, "linear"),
+            aggregation=value("aggregation", aggregation, "linear"),
             repair=RepairConfig(sigma=file_sigma if sigma is None else float(sigma),
                                 tau=file_tau if tau is None else float(tau),
-                                max_iter=value("max_iter", json_int, 20)),
+                                max_iter=repair_value("max_iter", json_int)),
+            source=path,
         )
         unknown = sorted(doc.keys() - read)
         if unknown:
@@ -220,10 +234,12 @@ def hierarchy_digest(h: IndexHierarchy) -> str:
 
 
 def load_inputs(cfg: PipelineConfig) -> PipelineInputs:
+    """Every input a run reads, loaded and checked: hierarchy, data, ratings, scheme
+    and judgment matrices. Every command loads through here, `validate` included."""
     h = load_hierarchy(cfg.hierarchy)
     violations = validate_hierarchy(h)
     if violations:
-        raise ValueError("invalid hierarchy: " + "; ".join(violations))
+        raise ValueError(f"{cfg.hierarchy}: invalid hierarchy: " + "; ".join(violations))
     leaves = leaf_indicators(h)
     data = load_data_csv(cfg.data, leaves)
     z = min_max_normalize(data, h.directions())
@@ -244,8 +260,13 @@ def _load_judgments(h: IndexHierarchy, cfg: PipelineConfig) -> dict[str, np.ndar
     matrix under its id. A group of one needs no matrix and has no entry.
 
     A matrix whose order does not match its group, that is not a valid reciprocal
-    matrix or that holds an entry off the 1/9..9 scale is a ValueError naming the file.
+    matrix or that holds an entry off the 1/9..9 scale is a ValueError naming the file;
+    an `indicator_matrices` key that is not a criterion id is one naming the config.
     """
+    unknown = sorted(cfg.indicator_matrices.keys() - set(h.criterion_ids()))
+    if unknown:
+        raise ValueError(f"{cfg.source or 'config'}: 'indicator_matrices' keys {', '.join(map(repr, unknown))} "
+                         f"name no criterion of {cfg.hierarchy}")
     judgments = {}
 
     def load(key: str, path: Path, ids: list[str], what: str) -> None:

@@ -217,6 +217,12 @@ def test_identical_children_fixed_point():
     assert out.ex == pytest.approx(70) and out.en == pytest.approx(4) and out.he == pytest.approx(0.5)
 
 
+def test_unknown_aggregation_strategy_is_rejected():
+    c = CloudParams(80, 5, 1)
+    with pytest.raises(ValueError, match="unknown aggregation strategy 'bogus'"):
+        aggregate_clouds([c], np.array([1.0]), strategy="bogus")
+
+
 def test_linear_aggregation_containment():
     rng = np.random.default_rng(10)
     children = [CloudParams(rng.uniform(70, 90), rng.uniform(4.666, 8.0), rng.uniform(1, 3))

@@ -6,8 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cloudmcdm import __version__
+from cloudmcdm import __version__, hierarchy
 from cloudmcdm.cli import main as cli_main
+from cloudmcdm.hierarchy import parse_hierarchy
 from cloudmcdm.pipeline import (
     EvaluationReport,
     PipelineConfig,
@@ -326,24 +327,83 @@ def test_over_long_csv_field_exits_2(tmp_path, capsys, name, row, col):
     assert name.split("/")[-1] in err and "field larger than field limit" in err
 
 
-@pytest.mark.parametrize("name, text", [
-    ("judgment/C1.csv", "garbage,x\n"),
-    ("judgment/C4.csv", "1,2\n1/2,1\n"),  # order 2 for the leaves of C4
-    ("judgment/criteria.csv", None),  # diagonal cell (1,1) of 2
-])
-def test_validate_checks_judgment_matrices_as_weights_does(tmp_path, capsys, name, text):
+def _write(name: str, text: str):
+    return lambda root: (root / name).write_text(text)
+
+
+def _edit_json(name: str, edit):
+    def apply(root: Path) -> None:
+        path = root / name
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+    return apply
+
+
+def _empty_first_criterion(doc: dict) -> None:
+    doc["root"]["children"][0]["children"] = []
+
+
+# (how to break a demo copy, global flags, the file the message starts with, and text it holds)
+BROKEN_INPUTS = [
+    pytest.param(_write("judgment/C1.csv", "garbage,x\n"), [], "judgment/C1.csv", "row 1 has 2 entries",
+                 id="C1-garbage"),
+    pytest.param(_write("judgment/C4.csv", "1,2\n1/2,1\n"), [], "judgment/C4.csv",  # order 2 for C4's leaves
+                 "order 2 does not match", id="C4-wrong-order"),
+    pytest.param(lambda root: _set_csv_cell(root / "judgment/criteria.csv", 0, 0, "2"), [],
+                 "judgment/criteria.csv", "diagonal must be 1", id="criteria-diagonal-2"),
+    pytest.param(_edit_json("config_before.json", lambda doc: doc.update(sigma=1.5)), [], "config_before.json",
+                 "invalid value 1.5 for key 'sigma'", id="sigma-1.5"),
+    pytest.param(_edit_json("config_before.json", lambda doc: doc.update(tau=-1)), [], "config_before.json",
+                 "invalid value -1 for key 'tau'", id="tau-negative"),
+    pytest.param(_edit_json("config_before.json", lambda doc: doc.update(max_iter=0)), [], "config_before.json",
+                 "invalid value 0 for key 'max_iter'", id="max_iter-0"),
+    # a flag's value is not the file's fault
+    pytest.param(lambda root: None, ["--sigma", "1.5"], None, "sigma must lie in (0,1), got 1.5",
+                 id="sigma-flag-1.5"),
+    pytest.param(_edit_json("config_before.json", lambda doc: doc.update(aggregation="bogus")), [],
+                 "config_before.json", "invalid value 'bogus' for key 'aggregation'", id="aggregation-bogus"),
+    pytest.param(_edit_json("config_before.json", lambda doc: doc["indicator_matrices"].update(
+                     C9="judgment/nonexistent.csv")), [], "config_before.json",
+                 "'indicator_matrices' keys 'C9' name no criterion", id="indicator_matrices-unknown-key"),
+    pytest.param(_edit_json("hierarchy.json", _empty_first_criterion), [], "hierarchy.json",
+                 "invalid hierarchy: empty criterion 'C1'", id="hierarchy-empty-criterion"),
+]
+
+
+@pytest.mark.parametrize("breaks, flags, name, message", BROKEN_INPUTS)
+def test_every_command_rejects_a_broken_input_alike(tmp_path, capsys, breaks, flags, name, message):
+    # validate runs the loading half of every other command, so it accepts
+    # exactly what they load and rejects the rest with the same message
     _copy_demo(tmp_path)
-    if text is None:
-        _set_csv_cell(tmp_path / name, 0, 0, "2")
-    else:
-        (tmp_path / name).write_text(text)
+    breaks(tmp_path)
     config = str(tmp_path / "config_before.json")
-    assert cli_main(["weights", config]) == 2
-    weights_err = capsys.readouterr().err
-    assert cli_main(["validate", config]) == 2
-    out, err = capsys.readouterr()
-    assert out == "" and err == weights_err
-    assert f"error: {tmp_path / name}: " in err
+    errs = []
+    for argv in (["validate", config], ["weights", config], ["evaluate", config],
+                 ["droplets", config, "--level", "comprehensive"]):
+        assert cli_main([*flags, *argv]) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "", argv
+        errs.append(err)
+    assert errs == [errs[0]] * 4
+    err = errs[0]
+    assert err.startswith("error: ") and message in err
+    if name is None:
+        assert str(tmp_path) not in err
+    else:
+        assert err.startswith(f"error: {tmp_path / name}: ")
+
+
+def test_validate_parses_the_hierarchy_once(monkeypatch, capsys):
+    parsed = []
+
+    def counting(doc):
+        parsed.append(doc)
+        return parse_hierarchy(doc)
+
+    monkeypatch.setattr(hierarchy, "parse_hierarchy", counting)
+    assert cli_main(["validate", str(DEMO / "config_before.json")]) == 0
+    assert len(parsed) == 1
 
 
 @pytest.mark.parametrize("edit, key", [
