@@ -11,7 +11,7 @@ DEMO = Path(__file__).resolve().parents[1] / "data" / "demo"
 
 cfg = PipelineConfig.from_json(DEMO / "config_before.json")
 inputs = load_inputs(cfg)
-w = compute_weights(inputs, cfg).to_dict()  # the `weights` section of report.json
+w = compute_weights(inputs).to_dict()  # the `weights` section of report.json
 
 print(f"fusion coefficients theta = ({w['theta']['subjective']:.4f}, {w['theta']['objective']:.4f})")
 print(f"{'criterion':<10}{'subjective':>12}{'objective':>12}{'combined':>12}")

@@ -13,7 +13,6 @@ from pathlib import Path
 
 from .cloud import forward_cloud
 from .dataprep import read_json
-from .iahp import RepairError
 from .pipeline import (
     EvaluationReport,
     PipelineConfig,
@@ -43,7 +42,7 @@ def cmd_validate(args) -> int:
 def cmd_weights(args) -> int:
     cfg = _load_config(args)
     inputs = load_inputs(cfg)
-    w = compute_weights(inputs, cfg).to_dict()
+    w = compute_weights(inputs).to_dict()
     extra = {"subjective": {}, "objective": {"indicator_entropy": w["indicator_entropy"]},
              "combined": {"theta": w["theta"]}}
     kinds = [k for k in extra if getattr(args, k)] or list(extra)
@@ -70,7 +69,7 @@ def cmd_compare(args) -> int:
 def cmd_droplets(args) -> int:
     cfg = _load_config(args)
     inputs = load_inputs(cfg)
-    leaf_clouds, crit_clouds, comprehensive = score_clouds(inputs, compute_weights(inputs, cfg), cfg)
+    leaf_clouds, crit_clouds, comprehensive = score_clouds(inputs, compute_weights(inputs), cfg)
     level = args.level
     if level in leaf_clouds:
         cloud = leaf_clouds[level]
@@ -131,9 +130,6 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except RepairError as e:
-        print(f"error: judgment-matrix repair failed: {e}", file=sys.stderr)
-        return 2
     except (ValueError, KeyError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

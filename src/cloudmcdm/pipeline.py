@@ -40,8 +40,7 @@ from .dataprep import (DataMatrix, json_float, json_int, json_value, load_data_c
 from .ewm import WeightVector, entropy_weights
 from .fce import fce_score, membership_matrix
 from .hierarchy import IndexHierarchy, leaf_indicators, load_hierarchy, validate_hierarchy
-from .iahp import (RepairConfig, auto_correct, load_judgment_csv, principal_weights, to_preference,
-                   validate_judgment)
+from .iahp import RepairConfig, RepairError, auto_correct, load_judgment_csv, principal_weights
 
 ENV_SEED = "CLOUDMCDM_SEED"
 
@@ -149,7 +148,7 @@ class PipelineInputs:
     normalized: DataMatrix
     ratings: DataMatrix
     scheme: GradeScheme
-    judgments: dict[str, np.ndarray]  # see _load_judgments
+    subjective: dict[str, WeightVector]  # see _subjective_weights
 
 
 @dataclass
@@ -235,7 +234,8 @@ def hierarchy_digest(h: IndexHierarchy) -> str:
 
 def load_inputs(cfg: PipelineConfig) -> PipelineInputs:
     """Every input a run reads, loaded and checked: hierarchy, data, ratings, scheme
-    and judgment matrices. Every command loads through here, `validate` included."""
+    and judgment matrices, each matrix repaired and weighed. Every command loads
+    through here, `validate` included."""
     h = load_hierarchy(cfg.hierarchy)
     violations = validate_hierarchy(h)
     if violations:
@@ -251,59 +251,46 @@ def load_inputs(cfg: PipelineConfig) -> PipelineInputs:
             raise ValueError(f"{cfg.ratings}: {what} at sample {ratings.object_ids[s]!r}, "
                              f"indicator {ratings.indicator_ids[k]!r}: {float(ratings.values[s, k])}")
     scheme = load_scheme(cfg.scheme) if cfg.scheme else DEFAULT_SCHEME
-    return PipelineInputs(h, leaves, data, z, ratings, scheme, _load_judgments(h, cfg))
+    return PipelineInputs(h, leaves, data, z, ratings, scheme, _subjective_weights(h, cfg))
 
 
-def _load_judgments(h: IndexHierarchy, cfg: PipelineConfig) -> dict[str, np.ndarray]:
-    """Every judgment matrix the hierarchy needs, loaded and checked before any is
-    repaired: the criterion matrix under the root id, then each criterion's leaf
-    matrix under its id. A group of one needs no matrix and has no entry.
+def _subjective_weights(h: IndexHierarchy, cfg: PipelineConfig) -> dict[str, WeightVector]:
+    """Local AHP weights of every group: the criteria under the root id, then each
+    criterion's leaves under its id, in that order. Each group's judgment matrix is
+    loaded, checked, repaired and weighed before the next is read; a group of one
+    needs no matrix and has weight 1.
 
     A matrix whose order does not match its group, that is not a valid reciprocal
-    matrix or that holds an entry off the 1/9..9 scale is a ValueError naming the file;
-    an `indicator_matrices` key that is not a criterion id is one naming the config.
+    matrix on the 1/9..9 scale or that the repair cannot fix is a ValueError naming
+    the file; a missing or unknown `indicator_matrices` key is one naming the config.
     """
+    config = cfg.source or "config"
     unknown = sorted(cfg.indicator_matrices.keys() - set(h.criterion_ids()))
     if unknown:
-        raise ValueError(f"{cfg.source or 'config'}: 'indicator_matrices' keys {', '.join(map(repr, unknown))} "
+        raise ValueError(f"{config}: 'indicator_matrices' keys {', '.join(map(repr, unknown))} "
                          f"name no criterion of {cfg.hierarchy}")
-    judgments = {}
 
-    def load(key: str, path: Path, ids: list[str], what: str) -> None:
+    def weigh(path: Path, ids: list[str], what: str) -> WeightVector:
         if len(ids) == 1:
-            return
+            return WeightVector(tuple(ids), np.array([1.0]))
         j = load_judgment_csv(path)
         if j.shape[0] != len(ids):
             raise ValueError(f"{path}: order {j.shape[0]} does not match {len(ids)} {what}")
         try:
-            validate_judgment(j)
-            to_preference(j)  # rejects an entry off the scale
+            repaired, _ = auto_correct(j, cfg.repair)  # checks the matrix and its scale first
         except ValueError as e:
             raise ValueError(f"{path}: {e}") from None
-        judgments[key] = j
+        except RepairError as e:
+            raise ValueError(f"{path}: judgment-matrix repair failed: {e}") from None
+        return principal_weights(repaired, ids=ids)
 
-    load(h.root_id, cfg.criterion_matrix, h.criterion_ids(), "criteria")
+    weights = {h.root_id: weigh(cfg.criterion_matrix, h.criterion_ids(), "criteria")}
     for cid in h.criterion_ids():
         ids = leaf_indicators(h, cid)
         if len(ids) > 1 and cid not in cfg.indicator_matrices:
-            raise ValueError(f"no judgment matrix configured for criterion {cid!r}")
-        load(cid, cfg.indicator_matrices.get(cid), ids, f"leaves of {cid}")
-    return judgments
-
-
-def _subjective_weights(inputs: PipelineInputs, cfg: PipelineConfig
-                        ) -> tuple[WeightVector, dict[str, WeightVector]]:
-    """Criterion-layer weights and per-criterion local leaf weights via repaired AHP."""
-    h = inputs.hierarchy
-
-    def weights_for(key: str, ids: list[str]) -> WeightVector:
-        if key not in inputs.judgments:
-            return WeightVector(tuple(ids), np.array([1.0]))
-        repaired, _ = auto_correct(inputs.judgments[key], cfg.repair)
-        return principal_weights(repaired, ids=ids)
-
-    return (weights_for(h.root_id, h.criterion_ids()),
-            {cid: weights_for(cid, leaf_indicators(h, cid)) for cid in h.criterion_ids()})
+            raise ValueError(f"{config}: no judgment matrix configured for criterion {cid!r}")
+        weights[cid] = weigh(cfg.indicator_matrices.get(cid), ids, f"leaves of {cid}")
+    return weights
 
 
 def _by_criterion(h: IndexHierarchy, w: WeightVector) -> tuple[WeightVector, dict[str, WeightVector]]:
@@ -321,12 +308,12 @@ def _by_criterion(h: IndexHierarchy, w: WeightVector) -> tuple[WeightVector, dic
     return WeightVector(tuple(h.criterion_ids()), sums / sums.sum()), local
 
 
-def compute_weights(inputs: PipelineInputs, cfg: PipelineConfig) -> WeightSet:
+def compute_weights(inputs: PipelineInputs) -> WeightSet:
     h = inputs.hierarchy
-    crit_s, local_s = _subjective_weights(inputs, cfg)
+    crit_s = inputs.subjective[h.root_id]
     # global subjective = criterion weight x local leaf weight, in leaf order
     global_s = WeightVector(tuple(inputs.leaves), np.concatenate(
-        [w * local_s[cid].weights for cid, w in zip(crit_s.indicator_ids, crit_s.weights)]))
+        [w * inputs.subjective[cid].weights for cid, w in zip(crit_s.indicator_ids, crit_s.weights)]))
     global_o, entropies = entropy_weights(inputs.normalized)
     combo = combine_weights(global_s, global_o, inputs.normalized)
     crit_c, local_c = _by_criterion(h, combo.combined)
@@ -367,7 +354,7 @@ def run_pipeline(config: PipelineConfig | str | Path, out_dir: str | Path | None
     if cfg.droplets < MIN_DROPLETS:
         raise ValueError(f"droplets.csv needs at least {MIN_DROPLETS} droplets, got {cfg.droplets}")
     inputs = load_inputs(cfg)
-    ws = compute_weights(inputs, cfg)
+    ws = compute_weights(inputs)
     leaf_clouds, crit_clouds, comprehensive = score_clouds(inputs, ws, cfg)
 
     (grade, sim_table), *crit_grades = grade_clouds([comprehensive, *crit_clouds.values()], inputs.scheme)
