@@ -12,7 +12,6 @@ import sys
 from pathlib import Path
 
 from .cloud import forward_cloud
-from .dataprep import read_json
 from .pipeline import (
     EvaluationReport,
     PipelineConfig,
@@ -20,6 +19,7 @@ from .pipeline import (
     compute_weights,
     droplets_csv_bytes,
     load_inputs,
+    load_report,
     run_pipeline,
     score_clouds,
 )
@@ -62,7 +62,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    _emit(compare_scenarios(read_json(args.report_a), read_json(args.report_b)))
+    _emit(compare_scenarios(load_report(args.report_a), load_report(args.report_b)))
     return 0
 
 

@@ -25,6 +25,9 @@ from .dataprep import json_float, json_value, read_json
 # evaluation's droplets.csv, may rest on.
 MIN_DROPLETS = 1000
 
+# Fewest rating samples that the backward generator estimates a cloud from.
+MIN_SAMPLES = 10
+
 
 @dataclass(frozen=True)
 class CloudParams:
@@ -159,8 +162,8 @@ def backward_cloud(samples: np.ndarray) -> BackwardResult:
     with S^2 the unbiased sample variance. The clamp at 0 is flagged.
     """
     x = np.asarray(samples, dtype=float).ravel()
-    if x.size < 10:
-        raise ValueError(f"backward generator needs at least 10 samples, got {x.size}")
+    if x.size < MIN_SAMPLES:
+        raise ValueError(f"backward generator needs at least {MIN_SAMPLES} samples, got {x.size}")
     ex = float(x.mean())
     en = float(np.sqrt(np.pi / 2.0) * np.abs(x - ex).mean())
     s2 = float(x.var(ddof=1))

@@ -92,10 +92,18 @@ def json_int(value) -> int:
     raise ValueError(f"expected an integer, got {value!r}")
 
 
+def json_object(value) -> dict:
+    """A JSON object, as is; anything else is rejected."""
+    if not isinstance(value, dict):
+        raise TypeError("expected a JSON object")
+    return value
+
+
 def json_value(path: str | Path, doc, key: str, convert, default=MISSING, where: str = ""):
     """`convert(doc[key])`, or `convert(default)` when the key is absent and a default
     is given. A `doc` that is not a JSON object, a missing required key and a value
-    `convert` rejects are ValueErrors naming the file and key at `where` in it."""
+    `convert` rejects are ValueErrors naming the file and key at `where` in it, the
+    last with the reason `convert` gives."""
     name = f"{where}.{key}" if where else key
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: {where or 'the document'} must be a JSON object, got {doc!r}")
@@ -104,8 +112,8 @@ def json_value(path: str | Path, doc, key: str, convert, default=MISSING, where:
     value = doc.get(key, default)
     try:
         return convert(value)
-    except (TypeError, ValueError, OverflowError):  # OverflowError: an integer too large for a float
-        raise ValueError(f"{path}: invalid value {value!r} for key {name!r}") from None
+    except (TypeError, ValueError, OverflowError) as e:  # OverflowError: an integer too large for a float
+        raise ValueError(f"{path}: invalid value {value!r} for key {name!r}: {e}") from None
 
 
 def read_csv_rows(path: str | Path) -> list[list[str]]:

@@ -10,6 +10,9 @@ from .dataprep import DataMatrix
 
 _SIMPLEX_TOL = 1e-9
 
+# Fewest evaluation objects whose entropy is defined: it divides by ln m.
+MIN_OBJECTS = 2
+
 
 @dataclass(frozen=True)
 class WeightVector:
@@ -42,8 +45,8 @@ def entropy_weights(z: DataMatrix) -> tuple[WeightVector, np.ndarray]:
     """
     v = z.values
     m, n = v.shape
-    if m < 2:
-        raise ValueError("entropy weighting needs at least 2 evaluation objects")
+    if m < MIN_OBJECTS:
+        raise ValueError(f"entropy weighting needs at least {MIN_OBJECTS} evaluation objects")
     if (v < 0).any() or (v > 1).any():
         raise ValueError("entropy weighting expects values in [0,1]; normalize first")
     col_sums = v.sum(axis=0)

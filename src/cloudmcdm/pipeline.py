@@ -26,6 +26,7 @@ from .cloud import (
     CloudParams,
     DEFAULT_SCHEME,
     MIN_DROPLETS,
+    MIN_SAMPLES,
     GradeScheme,
     aggregate_clouds,
     assign_grade,  # unused; stays bound because perfbench/spans.py wraps pipeline.assign_grade by name
@@ -35,9 +36,9 @@ from .cloud import (
     load_scheme,
 )
 from .combiner import combine_weights
-from .dataprep import (DataMatrix, json_float, json_int, json_value, load_data_csv, min_max_normalize,
-                       read_json)
-from .ewm import WeightVector, entropy_weights
+from .dataprep import (DataMatrix, json_float, json_int, json_object, json_value, load_data_csv,
+                       min_max_normalize, read_json)
+from .ewm import MIN_OBJECTS, WeightVector, entropy_weights
 from .fce import fce_score, membership_matrix
 from .hierarchy import IndexHierarchy, leaf_indicators, load_hierarchy, validate_hierarchy
 from .iahp import RepairConfig, RepairError, auto_correct, load_judgment_csv, principal_weights
@@ -92,9 +93,7 @@ class PipelineConfig:
             return json_value(path, doc, key, convert, default)
 
         def refs(table):
-            if not isinstance(table, dict):
-                raise TypeError("expected a JSON object")
-            return {k: base / v for k, v in table.items()}
+            return {k: base / v for k, v in json_object(table).items()}
 
         def aggregation(v):
             if v not in AGGREGATIONS:
@@ -242,8 +241,17 @@ def load_inputs(cfg: PipelineConfig) -> PipelineInputs:
         raise ValueError(f"{cfg.hierarchy}: invalid hierarchy: " + "; ".join(violations))
     leaves = leaf_indicators(h)
     data = load_data_csv(cfg.data, leaves)
-    z = min_max_normalize(data, h.directions())
+    if len(data.object_ids) < MIN_OBJECTS:
+        raise ValueError(f"{cfg.data}: entropy weighting needs at least {MIN_OBJECTS} evaluation objects, "
+                         f"got {len(data.object_ids)}")
+    try:
+        z = min_max_normalize(data, h.directions())
+    except ValueError as e:  # a non-finite cell
+        raise ValueError(f"{cfg.data}: {e}") from None
     ratings = load_data_csv(cfg.ratings, leaves)
+    if len(ratings.object_ids) < MIN_SAMPLES:
+        raise ValueError(f"{cfg.ratings}: backward generator needs at least {MIN_SAMPLES} rating samples, "
+                         f"got {len(ratings.object_ids)}")
     for bad, what in ((~np.isfinite(ratings.values), "non-finite rating"),
                       ((ratings.values < 0) | (ratings.values > 100), "rating outside [0, 100]")):
         if bad.any():
@@ -421,6 +429,22 @@ def droplets_csv_bytes(drops) -> bytes:
             lines.append("\n".join(f"{x!r},{mu!r}" for x, mu in rows.tolist()).encode())
     lines.append(b"")
     return b"\n".join(lines)
+
+
+def load_report(path: str | Path) -> dict:
+    """A report.json document, checked for what `compare_scenarios` reads: a missing
+    key, a cloud that is not a JSON object and a cloud parameter that is not a finite
+    number are ValueErrors naming the file and key."""
+    doc = read_json(path)
+    for key in ("scenario", "hierarchy_digest", "scheme", "grade"):
+        json_value(path, doc, key, lambda v: v)
+    clouds = {"comprehensive_cloud": json_value(path, doc, "comprehensive_cloud", lambda v: v)}
+    criteria = json_value(path, doc, "criterion_clouds", json_object)
+    clouds.update((f"criterion_clouds.{cid}", cloud) for cid, cloud in criteria.items())
+    for where, cloud in clouds.items():
+        for key in ("ex", "en", "he"):
+            json_value(path, cloud, key, json_float, where=where)
+    return doc
 
 
 def compare_scenarios(a: EvaluationReport | dict, b: EvaluationReport | dict) -> dict:

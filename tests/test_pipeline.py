@@ -8,12 +8,15 @@ import pytest
 
 from cloudmcdm import __version__, hierarchy
 from cloudmcdm.cli import main as cli_main
+from cloudmcdm.cloud import forward_cloud, indicator_cloud
 from cloudmcdm.hierarchy import parse_hierarchy
 from cloudmcdm.pipeline import (
     EvaluationReport,
     PipelineConfig,
     _round_floats,
     compare_scenarios,
+    droplets_csv_bytes,
+    load_inputs,
     run_pipeline,
 )
 
@@ -65,9 +68,6 @@ def test_two_stage_ex_equals_global_weighting(report_before):
     doc = report_before.to_dict()
     wc = doc["weights"]["indicator_global"]["combined"]
     cfg = PipelineConfig.from_json(DEMO / "config_before.json")
-    from cloudmcdm.cloud import indicator_cloud
-    from cloudmcdm.pipeline import load_inputs
-
     inputs = load_inputs(cfg)
     global_ex = sum(wc[leaf] * indicator_cloud(inputs.ratings.values[:, k]).ex
                     for k, leaf in enumerate(inputs.leaves))
@@ -303,6 +303,28 @@ def test_compare_names_a_report_with_bad_json(tmp_path, capsys):
     assert f"error: {path}: Expecting value" in capsys.readouterr().err
 
 
+def _set_comprehensive_ex(doc: dict) -> dict:
+    doc["comprehensive_cloud"]["ex"] = "x"
+    return doc
+
+
+@pytest.mark.parametrize("edit, message", [
+    pytest.param(lambda doc: [1, 2], "the document must be a JSON object, got [1, 2]", id="list"),
+    pytest.param(_set_comprehensive_ex, "invalid value 'x' for key 'comprehensive_cloud.ex': expected a finite number",
+                 id="ex-string"),
+    pytest.param(lambda doc: {k: v for k, v in doc.items() if k != "scheme"}, "missing required key 'scheme'",
+                 id="no-scheme"),
+    pytest.param(lambda doc: dict(doc, criterion_clouds=dict(doc["criterion_clouds"], C3=None)),
+                 "criterion_clouds.C3 must be a JSON object, got None", id="criterion-cloud-null"),
+])
+def test_compare_names_a_malformed_report_and_key(tmp_path, capsys, edit, message):
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(edit(json.loads(GOLDEN.read_text()))))
+    assert cli_main(["compare", str(GOLDEN), str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: {message}") and err.count("\n") == 1
+
+
 def test_duplicated_indicator_column_exits_2(tmp_path, capsys):
     # a second C11 column full of 999 used to be dropped without a word
     _copy_demo(tmp_path)
@@ -344,6 +366,33 @@ def _empty_first_criterion(doc: dict) -> None:
     doc["root"]["children"][0]["children"] = []
 
 
+def _keep_lines(name: str, n: int):
+    def apply(root: Path) -> None:
+        path = root / name
+        path.write_text("\n".join(path.read_text().splitlines()[:n]) + "\n")
+    return apply
+
+
+def _set_cells(name: str, *cells):
+    def apply(root: Path) -> None:
+        for row, col, value in cells:
+            _set_csv_cell(root / name, row, col, value)
+    return apply
+
+
+def _sixteen_leaves_in_C1(root: Path) -> None:
+    # C1 has 5 leaves; 16 is one past the largest order the random-index table covers
+    new = [f"C1{chr(ord('a') + k)}" for k in range(11)]
+    _edit_json("hierarchy.json", lambda doc: doc["root"]["children"][0]["children"].extend(
+        {"id": i, "direction": "benefit"} for i in new))(root)
+    for name in ("indicators.csv", "ratings_before.csv"):
+        path = root / name
+        lines = path.read_text().splitlines()
+        lines = [lines[0] + "," + ",".join(new)] + [line + ",50" * len(new) for line in lines[1:]]
+        path.write_text("\n".join(lines) + "\n")
+    (root / "judgment/C1.csv").write_text("\n".join([",".join(["1"] * 16)] * 16) + "\n")
+
+
 # (how to break a demo copy, global flags, the file the message starts with, and text it holds)
 BROKEN_INPUTS = [
     pytest.param(_write("judgment/C1.csv", "garbage,x\n"), [], "judgment/C1.csv", "row 1 has 2 entries",
@@ -353,11 +402,11 @@ BROKEN_INPUTS = [
     pytest.param(lambda root: _set_csv_cell(root / "judgment/criteria.csv", 0, 0, "2"), [],
                  "judgment/criteria.csv", "diagonal must be 1", id="criteria-diagonal-2"),
     pytest.param(_edit_json("config_before.json", lambda doc: doc.update(sigma=1.5)), [], "config_before.json",
-                 "invalid value 1.5 for key 'sigma'", id="sigma-1.5"),
+                 "invalid value 1.5 for key 'sigma': sigma must lie in (0,1), got 1.5", id="sigma-1.5"),
     pytest.param(_edit_json("config_before.json", lambda doc: doc.update(tau=-1)), [], "config_before.json",
-                 "invalid value -1 for key 'tau'", id="tau-negative"),
+                 "invalid value -1 for key 'tau': tau must be positive, got -1.0", id="tau-negative"),
     pytest.param(_edit_json("config_before.json", lambda doc: doc.update(max_iter=0)), [], "config_before.json",
-                 "invalid value 0 for key 'max_iter'", id="max_iter-0"),
+                 "invalid value 0 for key 'max_iter': max_iter must be at least 1", id="max_iter-0"),
     # a flag's value is not the file's fault
     pytest.param(lambda root: None, ["--sigma", "1.5"], None, "sigma must lie in (0,1), got 1.5",
                  id="sigma-flag-1.5"),
@@ -366,8 +415,32 @@ BROKEN_INPUTS = [
     pytest.param(_edit_json("config_before.json", lambda doc: doc["indicator_matrices"].update(
                      C9="judgment/nonexistent.csv")), [], "config_before.json",
                  "'indicator_matrices' keys 'C9' name no criterion", id="indicator_matrices-unknown-key"),
+    pytest.param(_edit_json("config_before.json", lambda doc: doc["indicator_matrices"].pop("C4")), [],
+                 "config_before.json", "no judgment matrix configured for criterion 'C4'",
+                 id="indicator_matrices-missing-key"),
     pytest.param(_edit_json("hierarchy.json", _empty_first_criterion), [], "hierarchy.json",
                  "invalid hierarchy: empty criterion 'C1'", id="hierarchy-empty-criterion"),
+    pytest.param(_edit_json("hierarchy.json", lambda doc: doc["root"]["children"][0].update(id="C1\u00e9")), [],
+                 "hierarchy.json", "invalid hierarchy: id 'C1\u00e9' must be non-empty ASCII",
+                 id="hierarchy-non-ascii-id"),
+    pytest.param(_edit_json("hierarchy.json", lambda doc: doc["root"].update(children=[])), [], "hierarchy.json",
+                 "invalid hierarchy: root has no criteria", id="hierarchy-no-criteria"),
+    # matrices are repaired one at a time, criteria first, so the first to fail is blamed
+    pytest.param(_edit_json("config_before.json", lambda doc: doc.update(max_iter=1, tau=0.0001)), [],
+                 "judgment/criteria.csv", "judgment-matrix repair failed: repair did not reach d < 0.0001 "
+                 "within 1 iterations", id="unrepairable"),
+    pytest.param(_set_cells("judgment/C1.csv", (0, 1, "3"), (1, 0, "3")), [], "judgment/C1.csv",
+                 "reciprocity violated at cell (1,2)", id="C1-not-reciprocal"),
+    pytest.param(_set_cells("judgment/C1.csv", (0, 1, "-3"), (1, 0, "-1/3")), [], "judgment/C1.csv",
+                 "judgment matrix entries must be positive", id="C1-negative"),
+    pytest.param(_sixteen_leaves_in_C1, [], "judgment/C1.csv", "judgment matrix order must be in [2, 15], got 16",
+                 id="C1-order-16"),
+    pytest.param(_set_cells("indicators.csv", (1, 1, "nan")), [], "indicators.csv",
+                 "non-finite value at object 'site1', indicator 'C11'", id="data-nan"),
+    pytest.param(_keep_lines("indicators.csv", 2), [], "indicators.csv",
+                 "entropy weighting needs at least 2 evaluation objects, got 1", id="data-one-object"),
+    pytest.param(_keep_lines("ratings_before.csv", 10), [], "ratings_before.csv",
+                 "backward generator needs at least 10 rating samples, got 9", id="ratings-9-samples"),
 ]
 
 
@@ -467,6 +540,13 @@ def test_droplets_cli_levels(tmp_path):
     rc = cli_main(["droplets", str(DEMO / "config_before.json"),
                    "--level", "comprehensive", "--n", "10", "--out", str(out)])
     assert rc == 0
+    # a leaf level draws from the leaf's own cloud, estimated from its ratings column
+    rc = cli_main(["droplets", str(DEMO / "config_before.json"), "--level", "C11", "--n", "10", "--out", str(out)])
+    assert rc == 0
+    cfg = PipelineConfig.from_json(DEMO / "config_before.json")
+    ratings = load_inputs(cfg).ratings
+    cloud = indicator_cloud(ratings.values[:, ratings.indicator_ids.index("C11")])
+    assert out.read_bytes() == droplets_csv_bytes(forward_cloud(cloud, 10, cfg.seed))
 
 
 def test_droplets_cli_unknown_level(capsys):
