@@ -62,7 +62,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    _emit(compare_scenarios(load_report(args.report_a), load_report(args.report_b)))
+    _emit(compare_scenarios(load_report(args.report_a), load_report(args.report_b),
+                            names=(args.report_a, args.report_b)))
     return 0
 
 

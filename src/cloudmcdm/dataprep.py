@@ -136,6 +136,10 @@ def _parse_plain(path: str | Path) -> tuple[list[str], list[str], np.ndarray] | 
     PyOS_string_to_double, so a plain file parses to the same bits either way;
     anything else (blank lines, `1_0`, non-ASCII digits, every error) is left
     to the csv reader.
+
+    Each stage drops its input once its output exists (the bytes, then the
+    text, then each line as its values part replaces it in the list), so no
+    more than two copies of the file are alive at once.
     """
     with open(path, "rb") as f:
         data = f.read()
@@ -143,25 +147,30 @@ def _parse_plain(path: str | Path) -> tuple[list[str], list[str], np.ndarray] | 
         text = data.decode("utf-8")
     except UnicodeDecodeError:
         return None
+    del data
     if any(c in text for c in _NOT_PLAIN):
         return None
     lines = text.split("\n")
+    del text
     if lines[-1] == "":
         lines.pop()
     if len(lines) < 2 or max(map(len, lines)) > csv.field_size_limit():
         return None
-    header = [c.strip() for c in lines[0].split(",")[1:]]
-    ids, _, rests = zip(*(line.partition(",") for line in lines[1:]))
+    header = [c.strip() for c in lines.pop(0).split(",")[1:]]
+    ids = []
+    for k, line in enumerate(lines):
+        i, _, lines[k] = line.partition(",")
+        ids.append(i.strip())
     # numpy skips empty lines, so a row whose only cell is its id must not reach it
-    if not header or not all(rests):
+    if not header or not all(lines):
         return None
     try:
-        values = np.loadtxt(rests, delimiter=",", comments=None, ndmin=2)
+        values = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
     except ValueError:
         return None
-    if values.shape != (len(rests), len(header)):
+    if values.shape != (len(lines), len(header)):
         return None
-    return header, [i.strip() for i in ids], values
+    return header, ids, values
 
 
 def _parse_rows(path: str | Path) -> tuple[list[str], list[str], np.ndarray]:
@@ -197,6 +206,7 @@ def load_data_csv(path: str | Path, indicator_ids: list[str] | None = None) -> D
             missing = sorted(set(indicator_ids) - set(header))
             extra = sorted(set(header) - set(indicator_ids))
             raise ValueError(f"{path}: column mismatch; missing {missing}, unexpected {extra}")
-        order = [header.index(i) for i in indicator_ids]
-        d = DataMatrix(d.object_ids, tuple(indicator_ids), d.values[:, order])
+        column = {c: k for k, c in enumerate(header)}
+        # copy even for the identity order: the copy is F-contiguous, and the report's sums depend on that layout
+        d = DataMatrix(d.object_ids, tuple(indicator_ids), d.values[:, [column[i] for i in indicator_ids]])
     return d

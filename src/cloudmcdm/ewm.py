@@ -54,8 +54,10 @@ def entropy_weights(z: DataMatrix) -> tuple[WeightVector, np.ndarray]:
         j = int(np.argmax(col_sums <= 0))
         raise ValueError(f"column {z.indicator_ids[j]!r} sums to 0; cannot form proportions")
     p = v / col_sums
-    with np.errstate(divide="ignore", invalid="ignore"):
-        plogp = np.where(p > 0, p * np.log(p), 0.0)
+    # p ln p in one buffer, 0 where p is not positive (0 ln 0 := 0)
+    positive = p > 0
+    plogp = np.log(p, out=np.zeros_like(p), where=positive)
+    np.multiply(plogp, p, out=plogp, where=positive)
     e = -plogp.sum(axis=0) / np.log(m)
     d = 1.0 - e
     d = np.where(d < 1e-12, 0.0, d)  # snap fp noise at e ~ 1 to an exact zero

@@ -252,12 +252,16 @@ def load_inputs(cfg: PipelineConfig) -> PipelineInputs:
     if len(ratings.object_ids) < MIN_SAMPLES:
         raise ValueError(f"{cfg.ratings}: backward generator needs at least {MIN_SAMPLES} rating samples, "
                          f"got {len(ratings.object_ids)}")
-    for bad, what in ((~np.isfinite(ratings.values), "non-finite rating"),
-                      ((ratings.values < 0) | (ratings.values > 100), "rating outside [0, 100]")):
+
+    def reject(bad: np.ndarray, what: str) -> None:
         if bad.any():
             s, k = np.argwhere(bad)[0]
             raise ValueError(f"{cfg.ratings}: {what} at sample {ratings.object_ids[s]!r}, "
                              f"indicator {ratings.indicator_ids[k]!r}: {float(ratings.values[s, k])}")
+
+    # the range mask is built only once every rating is known to be finite
+    reject(~np.isfinite(ratings.values), "non-finite rating")
+    reject((ratings.values < 0) | (ratings.values > 100), "rating outside [0, 100]")
     scheme = load_scheme(cfg.scheme) if cfg.scheme else DEFAULT_SCHEME
     return PipelineInputs(h, leaves, data, z, ratings, scheme, _subjective_weights(h, cfg))
 
@@ -447,28 +451,32 @@ def load_report(path: str | Path) -> dict:
     return doc
 
 
-def compare_scenarios(a: EvaluationReport | dict, b: EvaluationReport | dict) -> dict:
-    """Per-level parameter deltas between two reports on the same hierarchy/scheme.
+def compare_scenarios(a: EvaluationReport | dict, b: EvaluationReport | dict,
+                      names: tuple[str, str] = ("first report", "second report")) -> dict:
+    """Per-level parameter deltas between two reports on the same hierarchy, scheme
+    and criteria; `names` name the two reports in the ValueError raised otherwise.
 
     Flags the three directional signals individually: delta Ex > 0,
     delta En < 0, delta He < 0 on the comprehensive cloud.
     """
     da = a.to_dict() if isinstance(a, EvaluationReport) else a
     db = b.to_dict() if isinstance(b, EvaluationReport) else b
+    na, nb = names
     if da["hierarchy_digest"] != db["hierarchy_digest"]:
-        raise ValueError("reports were produced from different hierarchies")
+        raise ValueError(f"{na} and {nb} were produced from different hierarchies")
     if da["scheme"] != db["scheme"]:
-        raise ValueError("reports use different grade schemes")
+        raise ValueError(f"{na} and {nb} use different grade schemes")
+    ca, cb = da["criterion_clouds"], db["criterion_clouds"]
+    for holder, mine, other, theirs in ((na, ca, nb, cb), (nb, cb, na, ca)):
+        extra = [cid for cid in mine if cid not in theirs]
+        if extra:
+            raise ValueError(f"{holder}: criterion {extra[0]!r} is not in {other}")
 
     def delta(pa: dict, pb: dict) -> dict:
         return {k: {"a": pa[k], "b": pb[k], "delta": pb[k] - pa[k]} for k in ("ex", "en", "he")}
 
     comp = delta(da["comprehensive_cloud"], db["comprehensive_cloud"])
-    criteria = {}
-    for cid in da["criterion_clouds"]:
-        if cid not in db["criterion_clouds"]:
-            raise ValueError(f"criterion {cid!r} missing from second report")
-        criteria[cid] = delta(da["criterion_clouds"][cid], db["criterion_clouds"][cid])
+    criteria = {cid: delta(pa, cb[cid]) for cid, pa in ca.items()}
     return {
         "scenario_a": da["scenario"],
         "scenario_b": db["scenario"],

@@ -2,10 +2,13 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import REPO
 
 from cloudmcdm.cloud import (
+    AGGREGATIONS,
     CloudParams,
     DEFAULT_SCHEME,
     GradeScheme,
@@ -259,6 +262,28 @@ def test_aggregation_length_mismatch():
         aggregate_clouds([CloudParams(1, 1, 0)], np.array([0.5, 0.5]))
 
 
+CLOUDS = st.one_of(
+    st.builds(CloudParams, ex=st.floats(-50, 150), en=st.floats(1e-6, 50), he=st.floats(0, 20)),
+    st.builds(CloudParams, ex=st.floats(-50, 150), en=st.just(0.0), he=st.just(0.0)),
+)
+
+
+def simplex(n: int):
+    """Nonnegative weights over n entries, normalized to sum to 1."""
+    return st.lists(st.floats(0, 1), min_size=n, max_size=n).filter(lambda w: sum(w) > 0).map(
+        lambda w: np.array(w) / np.sum(w))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(CLOUDS, min_size=1, max_size=15).flatmap(lambda cs: st.tuples(st.just(cs), simplex(len(cs)))),
+       st.sampled_from(AGGREGATIONS))
+def test_aggregated_ex_lies_within_children_range(case, strategy):
+    children, w = case
+    ex = [c.ex for c in children]
+    tol = 1e-12 * (1.0 + max(map(abs, ex)))  # the weights sum to 1 within rounding
+    assert min(ex) - tol <= aggregate_clouds(children, w, strategy=strategy).ex <= max(ex) + tol
+
+
 # -- similarity and grading --------------------------------------------------
 
 def test_self_similarity_analytic():
@@ -296,6 +321,27 @@ def test_each_grade_cloud_identifies_itself():
         got, table = assign_grade(gc, DEFAULT_SCHEME)
         assert got == label
         assert table[label] == max(table.values())
+
+
+@st.composite
+def schemes(draw):
+    """1-7 contiguous bands over [0, 100], cut anywhere, with any he_ratio up to 10."""
+    cuts = sorted(draw(st.lists(st.floats(0.5, 99.5), unique=True, max_size=6)))
+    edges = [0.0, *cuts, 100.0]
+    return GradeScheme(tuple((f"g{k}", lo, hi) for k, (lo, hi) in enumerate(zip(edges, edges[1:]))),
+                       he_ratio=draw(st.floats(1e-3, 10)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(schemes(), st.lists(CLOUDS, max_size=5))
+def test_grade_tables_lie_in_unit_interval_and_grade_clouds_grade_as_themselves(scheme, clouds):
+    references = scheme.clouds()
+    graded = grade_clouds([g for _, g in references] + clouds, scheme)
+    for (label, _), (got, _) in zip(references, graded):
+        assert got == label
+    for _, table in graded:
+        assert list(table) == list(scheme.labels)
+        assert all(0.0 <= v <= 1.0 for v in table.values()), table
 
 
 def test_boundary_tie_promotes_higher_band():

@@ -1,4 +1,5 @@
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -99,6 +100,36 @@ def test_over_long_field_names_the_file(tmp_path, eol):
 def test_repository_csvs_take_the_bulk_path():
     for path in [DEMO / "indicators.csv", DEMO / "ratings_before.csv", DEMO / "ratings_after.csv"]:
         assert _parse_plain(path) is not None, path
+
+
+@pytest.mark.parametrize("plain", [True, False], ids=["bulk", "csv-reader"])
+@pytest.mark.parametrize("reverse", [False, True], ids=["identity", "reversed"])
+def test_loaded_values_are_column_major(tmp_path, plain, reverse):
+    # the report's sums over the loaded matrices depend on this layout: skipping the
+    # reorder copy for the identity order changes the demo report's FCE gap
+    path = tmp_path / "data.csv"
+    quote = "" if plain else '"'
+    path.write_text(f"id,a,b,c\n{quote}x{quote},1,2,3\ny,4,5,6\n")
+    assert (_parse_plain(path) is not None) == plain
+    ids = ["c", "b", "a"] if reverse else ["a", "b", "c"]
+    assert load_data_csv(path, ids).values.flags.f_contiguous
+
+
+def test_loader_holds_one_transient_copy(tmp_path):
+    # 2000 samples x 225 leaves, formatted as perfbench/scaled_inputs.py writes ratings
+    rng = np.random.default_rng(0)
+    ids = [f"L{k:03d}" for k in range(225)]
+    path = tmp_path / "ratings.csv"
+    path.write_text("sample," + ",".join(ids) + "\n" + "".join(
+        f"s{r}," + ",".join(f"{v:.4f}" for v in row) + "\n" for r, row in enumerate(rng.uniform(0, 100, (2000, 225)))))
+    tracemalloc.start()
+    try:
+        d = load_data_csv(path, ids)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert d.values.shape == (2000, 225)
+    assert peak <= 2.5 * d.values.nbytes, peak / d.values.nbytes
 
 
 def reference_load_data_csv(path, indicator_ids=None) -> DataMatrix:

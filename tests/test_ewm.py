@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -103,3 +105,15 @@ def test_weight_vector_invariants():
         WeightVector(("a", "b"), np.array([0.7, 0.7]))
     with pytest.raises(ValueError):
         WeightVector(("a", "b"), np.array([1.2, -0.2]))
+
+
+def test_entropy_holds_one_buffer_beside_the_proportions():
+    z = matrix(np.random.default_rng(0).uniform(0, 1, (2000, 225)))
+    z.values[:10] = 0.0  # some p = 0 cells take the 0 ln 0 := 0 path
+    tracemalloc.start()
+    try:
+        entropy_weights(z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * z.values.nbytes, peak / z.values.nbytes

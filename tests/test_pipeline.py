@@ -5,16 +5,22 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cloudmcdm import __version__, hierarchy
 from cloudmcdm.cli import main as cli_main
-from cloudmcdm.cloud import forward_cloud, indicator_cloud
-from cloudmcdm.hierarchy import parse_hierarchy
+from cloudmcdm.cloud import DEFAULT_SCHEME, forward_cloud, indicator_cloud
+from cloudmcdm.dataprep import DataMatrix, min_max_normalize
+from cloudmcdm.ewm import WeightVector
+from cloudmcdm.hierarchy import leaf_indicators, parse_hierarchy
 from cloudmcdm.pipeline import (
     EvaluationReport,
     PipelineConfig,
+    PipelineInputs,
     _round_floats,
     compare_scenarios,
+    compute_weights,
     droplets_csv_bytes,
     load_inputs,
     run_pipeline,
@@ -110,6 +116,109 @@ def test_comparison_rejects_different_hierarchy(report_before):
     other.hierarchy_digest = "0" * 64
     with pytest.raises(ValueError, match="hierarch"):
         compare_scenarios(report_before, other)
+
+
+def _criterion_edit(drop: str | None = None, add: str | None = None):
+    def edit(doc: dict) -> dict:
+        clouds = {cid: c for cid, c in doc["criterion_clouds"].items() if cid != drop}
+        if add:
+            clouds[add] = doc["criterion_clouds"]["C3"]
+        return dict(doc, criterion_clouds=clouds)
+    return edit
+
+
+# each case: the edit, then (criterion, report holding it) with the golden first and with it second
+@pytest.mark.parametrize("edit, golden_first, edited_first", [
+    pytest.param(_criterion_edit(drop="C3"), ("C3", "golden"), ("C3", "golden"), id="missing"),
+    pytest.param(_criterion_edit(add="C9"), ("C9", "edited"), ("C9", "edited"), id="extra"),
+    # equal counts, different sets: the first report's own criterion is named first
+    pytest.param(_criterion_edit(drop="C3", add="C9"), ("C3", "golden"), ("C9", "edited"), id="renamed"),
+])
+def test_compare_requires_equal_criteria_and_names_the_report_holding_one(tmp_path, capsys, edit,
+                                                                           golden_first, edited_first):
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(edit(json.loads(GOLDEN.read_text()))))
+    for pair, (cid, holder) in (((GOLDEN, path), golden_first), ((path, GOLDEN), edited_first)):
+        assert cli_main(["compare", *map(str, pair)]) == 2
+        has, lacks = (GOLDEN, path) if holder == "golden" else (path, GOLDEN)
+        assert capsys.readouterr().err == f"error: {has}: criterion {cid!r} is not in {lacks}\n"
+
+
+@pytest.mark.parametrize("key, value, message", [
+    pytest.param("hierarchy_digest", "0" * 64, "were produced from different hierarchies", id="hierarchy"),
+    pytest.param("scheme", {"he_ratio": 0.2, "bands": []}, "use different grade schemes", id="scheme"),
+])
+def test_compare_names_both_reports_of_a_mismatched_pair(tmp_path, capsys, key, value, message):
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(dict(json.loads(GOLDEN.read_text()), **{key: value})))
+    assert cli_main(["compare", str(GOLDEN), str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {GOLDEN} and {path} {message}\n"
+
+
+CLOUD_PARAMETER = st.floats(-1e6, 1e6)
+
+
+@st.composite
+def report_pairs(draw):
+    """Two copies of the golden report with every cloud parameter redrawn."""
+    golden = json.loads(GOLDEN.read_text())
+
+    def redraw() -> dict:
+        cloud = lambda: {k: draw(CLOUD_PARAMETER) for k in ("ex", "en", "he")}  # noqa: E731
+        return dict(golden, comprehensive_cloud=cloud(),
+                    criterion_clouds={cid: cloud() for cid in golden["criterion_clouds"]})
+    return redraw(), redraw()
+
+
+@settings(max_examples=100, deadline=None)
+@given(report_pairs())
+def test_compare_deltas_negate_when_the_reports_swap(pair):
+    a, b = pair
+    ab, ba = compare_scenarios(a, b), compare_scenarios(b, a)
+    levels = [(ab["comprehensive"], ba["comprehensive"])]
+    levels += [(ab["criteria"][cid], ba["criteria"][cid]) for cid in a["criterion_clouds"]]
+    assert set(ab["criteria"]) == set(ba["criteria"]) == set(a["criterion_clouds"])
+    for fwd, rev in levels:
+        for k in ("ex", "en", "he"):
+            assert fwd[k]["delta"] == -rev[k]["delta"]
+            assert (fwd[k]["a"], fwd[k]["b"]) == (rev[k]["b"], rev[k]["a"])
+
+
+def _simplex(draw, ids: list[str]) -> WeightVector:
+    w = draw(st.lists(st.floats(0, 1), min_size=len(ids), max_size=len(ids)).filter(lambda w: sum(w) > 0))
+    return WeightVector(tuple(ids), np.array(w) / np.sum(w))
+
+
+@st.composite
+def weight_inputs(draw):
+    """Inputs of `compute_weights`: 1-5 criteria of 1-5 leaves, 2-8 objects of raw
+    data drawn from 0-3 (so ties and constant columns are common), and random local
+    subjective weights."""
+    shape = draw(st.lists(st.integers(1, 5), min_size=1, max_size=5))
+    leaves = iter(range(sum(shape)))
+    h = parse_hierarchy({"root": {"id": "R", "children": [
+        {"id": f"C{c}", "children": [{"id": f"L{next(leaves)}", "direction": draw(st.sampled_from(["benefit", "cost"]))}
+                                     for _ in range(k)]} for c, k in enumerate(shape)]}})
+    ids = leaf_indicators(h)
+    m = draw(st.integers(2, 8))
+    raw = draw(st.lists(st.lists(st.integers(0, 3), min_size=len(ids), max_size=len(ids)), min_size=m, max_size=m))
+    data = DataMatrix(tuple(f"o{i}" for i in range(m)), tuple(ids), np.array(raw, dtype=float))
+    subjective = {h.root_id: _simplex(draw, h.criterion_ids())}
+    subjective.update((cid, _simplex(draw, leaf_indicators(h, cid))) for cid in h.criterion_ids())
+    return PipelineInputs(h, ids, data, min_max_normalize(data, h.directions()), None, DEFAULT_SCHEME, subjective)
+
+
+@settings(max_examples=100, deadline=None)
+@given(weight_inputs())
+def test_every_weight_table_lies_on_the_simplex(inputs):
+    ws = compute_weights(inputs)
+    tables = [*ws.criterion.values(), *ws.indicator_global.values(), *ws.local_combined.values()]
+    assert len(tables) == 6 + len(inputs.hierarchy.criterion_ids())
+    for table in tables:
+        assert (table.weights >= 0).all() and abs(table.weights.sum() - 1.0) <= 1e-9, table
+    doc = ws.to_dict()
+    for table in [*doc["criterion"].values(), *doc["indicator_global"].values()]:
+        assert abs(sum(table.values()) - 1.0) <= 1e-9  # the sum report.json's simplex check takes
 
 
 def test_fce_tracks_cloud_score(report_before, report_after):
