@@ -5,7 +5,9 @@ preference relation on the 0.1..0.9 scale, compared against a consistent
 reference built from geometric chains of intermediate comparisons, and pulled
 toward that reference until the Frobenius distance drops under a threshold.
 The repaired relation is mapped back to the 1/9..9 scale and the usual CR test
-is applied to the result.
+is applied to the result. `weigh_judgments` repairs the matrices of one order
+in lockstep, with one power iteration per matrix for its CR and its weights;
+`auto_correct`, `consistency_ratio` and `principal_weights` are one-matrix calls.
 """
 
 from __future__ import annotations
@@ -33,8 +35,6 @@ PREFERENCE_VALUES = np.array(
 )
 
 _SCALE_TOL = 1e-9
-_ONE = np.ones(1)
-_ONE.flags.writeable = False
 
 # random consistency index, orders 1..15 (standard table)
 RANDOM_INDEX = {
@@ -140,8 +140,9 @@ def from_preference(p: np.ndarray) -> np.ndarray:
 
 
 class _ChainPlan(NamedTuple):
-    left: np.ndarray       # (2m, n-2) indices into ext of each chain's first factor
-    right: np.ndarray      # (2m, n-2) indices into ext of each chain's second factor
+    left: np.ndarray       # index into ext of the first factor of every chain, cell by cell
+    right: np.ndarray      # index into ext of its second factor
+    starts: np.ndarray     # offset of each cell's first chain: m numerator cells, then m denominator cells
     exponents: list[float]  # 1/(j-i-1) for the m numerators, then again for the m denominators
     upper: np.ndarray      # flat index of each cell (i, j), j >= i+2, in row-major order
     lower: np.ndarray      # flat index of its mirror (j, i)
@@ -149,25 +150,51 @@ class _ChainPlan(NamedTuple):
 
 @functools.cache
 def _chain_plan(n: int) -> _ChainPlan:
-    """Gather indices of every chain of an order-n relation (n >= 3).
+    """Gather indices of every chain of an order-n relation (none below order 3).
 
-    `ext` is [p.ravel(), (1 - p).ravel(), 1.0]: rows 0..m-1 gather the
-    numerator chains p_it * p_tj of each cell, rows m..2m-1 the denominator
-    chains (1 - p_it) * (1 - p_tj), and positions past j-1 point both factors
-    at the trailing 1.0, whose product 1.0 leaves the row's product exact.
+    `ext` is [p.ravel(), (1 - p).ravel()]: the first half of `left`/`right`
+    gathers the numerator chains p_it * p_tj of each cell, the second half the
+    denominator chains (1 - p_it) * (1 - p_tj), with no padding between cells.
     """
     i, j = np.triu_indices(n, 2)  # row-major: an error names the first bad cell in row order
-    t = i[:, None] + 1 + np.arange(n - 2)
-    inside = t < j[:, None]
-    one = 2 * n * n
-    left = np.where(inside, i[:, None] * n + t, one)
-    right = np.where(inside, t * n + j[:, None], one)
-    left = np.concatenate((left, np.where(inside, left + n * n, one)))
-    right = np.concatenate((right, np.where(inside, right + n * n, one)))
+    width = j - i - 1  # chains of each cell
+    cell, starts = np.repeat(np.arange(len(i)), width), np.cumsum(width) - width
+    t = i[cell] + 1 + np.arange(len(cell)) - starts[cell]
+    left, right = i[cell] * n + t, t * n + j[cell]
+    left, right = np.concatenate((left, left + n * n)), np.concatenate((right, right + n * n))
+    starts = np.concatenate((starts, starts + len(t)))
     upper, lower = i * n + j, j * n + i
-    for a in (left, right, upper, lower):
+    for a in (left, right, starts, upper, lower):
         a.flags.writeable = False
-    return _ChainPlan(left, right, (1.0 / (j - i - 1)).tolist() * 2, upper, lower)
+    return _ChainPlan(left, right, starts, (1.0 / width).tolist() * 2, upper, lower)
+
+
+def _references(p: np.ndarray) -> tuple[np.ndarray, list[ValueError | None]]:
+    """Consistent references of a (k, n, n) stack of relations, and for each the
+    zero-product error that stops it, or None. Chain factors are multiplied left
+    to right (`reduceat`) and rooted with libm `pow` (`math.pow`): the bits of
+    rebuilding each cell alone with `np.prod` and a scalar power, which the
+    repair loop needs, as it feeds its output back into itself."""
+    k, n, _ = p.shape
+    errors: list[ValueError | None] = [None] * k
+    plan = _chain_plan(n)
+    ext = np.concatenate((p, 1.0 - p), axis=1).reshape(k, -1)  # [p.ravel(), (1 - p).ravel()] per relation
+    prods = np.multiply.reduceat(ext[:, plan.left] * ext[:, plan.right], plan.starts, axis=1)
+    m = len(plan.upper)
+    if not prods.all():
+        bad = (prods[:, :m] == 0.0) | (prods[:, m:] == 0.0)
+        for r in np.flatnonzero(bad.any(axis=1)).tolist():
+            i, j = divmod(int(plan.upper[np.argmax(bad[r])]), n)
+            errors[r] = ValueError(f"degenerate chain for cell ({i + 1},{j + 1}): zero product")
+        prods[prods == 0.0] = 1.0  # the stopped relations' rows, kept finite
+    roots = np.fromiter(map(math.pow, prods.ravel().tolist(), plan.exponents * k), float, prods.size)
+    a, b = roots.reshape(k, 2, m).transpose(1, 0, 2)
+    v = a / (a + b)
+    out = p.copy()
+    flat = out.reshape(k, -1)  # a view: the copy is C-contiguous
+    flat[:, plan.upper] = v
+    flat[:, plan.lower] = 1.0 - v
+    return out, errors
 
 
 def consistent_reference(p: np.ndarray) -> np.ndarray:
@@ -176,36 +203,16 @@ def consistent_reference(p: np.ndarray) -> np.ndarray:
     For j > i+1 the entry is rebuilt from the normalized geometric mean of the
     chains p_it * p_tj over intermediate t; entries with j <= i+1 are copied
     and the lower triangle follows by complementarity. Orders <= 2 pass through.
-
-    All cells are computed in one pass on a chain plan built once per order
-    (`_chain_plan`): the numerator and denominator chain products of every
-    cell are gathered into one row each (positions past j-1 hold 1.0) and
-    multiplied left to right, and the roots use libm `pow` through
-    `math.pow`, so the result is bit-identical to rebuilding the cells one
-    by one with `np.prod` and a scalar power. (numpy's array power and
-    log-sums round differently, and the repair loop feeds its output back
-    into itself.)
     """
     p = _check_square(p, "preference relation")
-    n = p.shape[0]
-    if n <= 2:
-        return p.copy()
-    plan = _chain_plan(n)
-    ext = np.concatenate((p.ravel(), (1.0 - p).ravel(), _ONE))
-    prods = (ext[plan.left] * ext[plan.right]).prod(axis=1)
-    m = len(plan.upper)
-    if not prods.all():
-        bad = (prods[:m] == 0.0) | (prods[m:] == 0.0)
-        i, j = divmod(int(plan.upper[np.argmax(bad)]), n)
-        raise ValueError(f"degenerate chain for cell ({i + 1},{j + 1}): zero product")
-    roots = np.fromiter(map(math.pow, prods.tolist(), plan.exponents), float, 2 * m)
-    a, b = roots[:m], roots[m:]
-    v = a / (a + b)
-    out = p.copy()
-    flat = out.reshape(-1)  # a view: the copy is C-contiguous
-    flat[plan.upper] = v
-    flat[plan.lower] = 1.0 - v
-    return out
+    out, errors = _references(p[None])
+    if errors[0]:
+        raise errors[0]
+    return out[0]
+
+
+def _distances(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.sum((np.abs(p - q) ** 2).reshape(len(p), -1), axis=1))
 
 
 def preference_distance(p: np.ndarray, q: np.ndarray) -> float:
@@ -214,7 +221,13 @@ def preference_distance(p: np.ndarray, q: np.ndarray) -> float:
     q = _check_square(q, "preference relation")
     if p.shape != q.shape:
         raise ValueError(f"dimension mismatch: {p.shape} vs {q.shape}")
-    return float(np.sqrt(np.sum(np.abs(p - q) ** 2)))
+    return float(_distances(p[None], q[None])[0])
+
+
+def _pull(p: np.ndarray, pbar: np.ndarray, sigma: float) -> np.ndarray:
+    num = p ** (1.0 - sigma) * pbar**sigma
+    den = (1.0 - p) ** (1.0 - sigma) * (1.0 - pbar) ** sigma
+    return num / (num + den)
 
 
 def repair_step(p: np.ndarray, pbar: np.ndarray, sigma: float) -> np.ndarray:
@@ -230,9 +243,59 @@ def repair_step(p: np.ndarray, pbar: np.ndarray, sigma: float) -> np.ndarray:
     pbar = _check_square(pbar, "reference relation")
     if p.shape != pbar.shape:
         raise ValueError(f"dimension mismatch: {p.shape} vs {pbar.shape}")
-    num = p ** (1.0 - sigma) * pbar**sigma
-    den = (1.0 - p) ** (1.0 - sigma) * (1.0 - pbar) ** sigma
-    return num / (num + den)
+    return _pull(p, pbar, sigma)
+
+
+def weigh_judgments(matrices, cfg: RepairConfig | None = None) -> list[tuple | ValueError | RepairError]:
+    """Per matrix, in input order, (repaired matrix, weights, trace) or the error
+    `auto_correct` raises for it alone, with the bits of a one-matrix call.
+
+    Each matrix is checked once. Those of one order are repaired in lockstep:
+    each sweep builds the references of all still repairing in one pass, and a
+    matrix leaves once its distance is under tau or max_iter steps are spent.
+    One stacked power iteration per order gives lambda_max and the weights."""
+    cfg = cfg or RepairConfig()
+    out: list = [None] * len(matrices)
+    traces = [RepairTrace() for _ in matrices]
+    groups: dict[int, dict[int, np.ndarray]] = {}
+    for k, j in enumerate(matrices):
+        try:
+            validate_judgment(j)
+            p = to_preference(j)
+        except ValueError as e:
+            out[k] = e
+        else:
+            groups.setdefault(len(p), {})[k] = p
+    for n, members in groups.items():
+        done: dict[int, np.ndarray] = {}
+        live, p = np.array(list(members)), np.stack(list(members.values()))
+        while live.size:
+            ref, errors = _references(p)
+            keep = []
+            for r, (k, d, error) in enumerate(zip(live.tolist(), _distances(p, ref).tolist(), errors)):
+                traces[k].distances.append(d)
+                if error:
+                    out[k] = error
+                elif d < cfg.tau:
+                    done[k] = p[r]
+                elif traces[k].iterations == cfg.max_iter:
+                    out[k] = RepairError(f"repair did not reach d < {cfg.tau} within {cfg.max_iter} "
+                                         f"iterations (last d = {d:.4f})", traces[k])
+                else:
+                    keep.append(r)
+            live, p = live[keep], _pull(p[keep], ref[keep], cfg.sigma)
+        if not done:
+            continue
+        # repaired relations can drift past the 0.9 knot; clamp back onto the
+        # table's domain (bounds symmetric around 0.5, so complementarity holds)
+        repaired = np.stack([from_preference(np.clip(q, 0.1, 0.9)) if traces[k].iterations
+                             else np.asarray(matrices[k], dtype=float) for k, q in done.items()])
+        weights, lam = _power_iteration(repaired)
+        for k, a, w, lk in zip(done, repaired, weights, lam.tolist()):
+            cr = traces[k].final_cr = _ratios(lk, n)[2]
+            out[k] = ((a, w, traces[k]) if cr < 0.1 else
+                      RepairError(f"repaired matrix still fails the CR test (CR = {cr:.4f})", traces[k]))
+    return out
 
 
 def auto_correct(j: np.ndarray, cfg: RepairConfig | None = None) -> tuple[np.ndarray, RepairTrace]:
@@ -243,33 +306,10 @@ def auto_correct(j: np.ndarray, cfg: RepairConfig | None = None) -> tuple[np.nda
     RepairError (carrying the trace) if max_iter is exhausted. When the
     original matrix already passes (zero repair steps) it is returned as-is.
     """
-    cfg = cfg or RepairConfig()
-    validate_judgment(j)
-    trace = RepairTrace()
-    p = to_preference(j)
-    while True:
-        pbar = consistent_reference(p)
-        trace.distances.append(preference_distance(p, pbar))
-        if trace.distances[-1] < cfg.tau:
-            break
-        if trace.iterations == cfg.max_iter:
-            raise RepairError(
-                f"repair did not reach d < {cfg.tau} within {cfg.max_iter} iterations "
-                f"(last d = {trace.distances[-1]:.4f})",
-                trace,
-            )
-        p = repair_step(p, pbar, cfg.sigma)
-    if trace.iterations == 0:
-        repaired = np.asarray(j, dtype=float).copy()
-    else:
-        # repaired relations can drift past the 0.9 knot; clamp back onto the
-        # table's domain (bounds symmetric around 0.5, so complementarity holds)
-        repaired = from_preference(np.clip(p, 0.1, 0.9))
-    _, _, cr = consistency_ratio(repaired)
-    trace.final_cr = cr
-    if cr >= 0.1:
-        raise RepairError(f"repaired matrix still fails the CR test (CR = {cr:.4f})", trace)
-    return repaired, trace
+    got = weigh_judgments([j], cfg)[0]
+    if isinstance(got, Exception):
+        raise got
+    return got[0], got[2]
 
 
 def principal_weights(j: np.ndarray, ids=None) -> WeightVector:
@@ -279,39 +319,44 @@ def principal_weights(j: np.ndarray, ids=None) -> WeightVector:
     convergence is guaranteed. `ids` labels the components (defaults i1..in).
     """
     validate_judgment(j)
-    w, _ = _power_iteration(np.asarray(j, dtype=float))
+    w, _ = _power_iteration(np.asarray(j, dtype=float)[None])
     if ids is None:
-        ids = tuple(f"i{k + 1}" for k in range(len(w)))
-    return WeightVector(tuple(ids), w)
+        ids = tuple(f"i{k + 1}" for k in range(w.shape[1]))
+    return WeightVector(tuple(ids), w[0])
 
 
 def _power_iteration(a: np.ndarray, tol: float = 1e-12, max_sweeps: int = 10_000
-                     ) -> tuple[np.ndarray, float]:
-    n = a.shape[0]
-    v = np.full(n, 1.0 / n)
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """Normalized dominant eigenvectors and lambda_max of a (k, n, n) stack. Each
+    matrix stops at its own sweep, so it gets the bits a stack of one would."""
+    k, n, _ = a.shape
+    v, live = np.full((k, n), 1.0 / n), np.arange(k)
     for _ in range(max_sweeps):
-        av = a @ v
-        nxt = av / av.sum()
-        if np.abs(nxt - v).max() < tol:
-            v = nxt
+        av = (a[live] @ v[live, :, None])[..., 0]
+        nxt = av / av.sum(axis=1, keepdims=True)
+        moving = ~(np.abs(nxt - v[live]).max(axis=1) < tol)
+        v[live] = nxt
+        live = live[moving]
+        if not live.size:
             break
-        v = nxt
     else:
         raise RuntimeError("power iteration did not converge")
-    av = a @ v
-    lam = float(np.mean(av / v))
-    return v / v.sum(), lam
+    av = (a @ v[..., None])[..., 0]
+    return v / v.sum(axis=1, keepdims=True), np.mean(av / v, axis=1)
+
+
+def _ratios(lam: float, n: int) -> tuple[float, float, float]:
+    ci = (lam - n) / (n - 1)
+    ri = RANDOM_INDEX[n]
+    return lam, ci, 0.0 if ri == 0 else ci / ri
 
 
 def consistency_ratio(j: np.ndarray) -> tuple[float, float, float]:
     """(lambda_max, CI, CR) with the standard random-index table; CR = 0 when RI = 0."""
     validate_judgment(j)
-    n = j.shape[0]
-    _, lam = _power_iteration(np.asarray(j, dtype=float))
-    ci = (lam - n) / (n - 1)
-    ri = RANDOM_INDEX[n]
-    cr = 0.0 if ri == 0 else ci / ri
-    return lam, ci, cr
+    a = np.asarray(j, dtype=float)
+    _, lam = _power_iteration(a[None])
+    return _ratios(float(lam[0]), a.shape[0])
 
 
 def parse_scale_value(token: str) -> float:

@@ -41,7 +41,8 @@ from .dataprep import (DataMatrix, json_float, json_int, json_object, json_value
 from .ewm import MIN_OBJECTS, WeightVector, entropy_weights
 from .fce import fce_score, membership_matrix
 from .hierarchy import IndexHierarchy, leaf_indicators, load_hierarchy, validate_hierarchy
-from .iahp import RepairConfig, RepairError, auto_correct, load_judgment_csv, principal_weights
+from .iahp import RepairConfig, RepairError, load_judgment_csv, weigh_judgments
+from .iahp import auto_correct, principal_weights  # unused; perfbench/spans.py wraps both by name
 
 ENV_SEED = "CLOUDMCDM_SEED"
 
@@ -268,9 +269,10 @@ def load_inputs(cfg: PipelineConfig) -> PipelineInputs:
 
 def _subjective_weights(h: IndexHierarchy, cfg: PipelineConfig) -> dict[str, WeightVector]:
     """Local AHP weights of every group: the criteria under the root id, then each
-    criterion's leaves under its id, in that order. Each group's judgment matrix is
-    loaded, checked, repaired and weighed before the next is read; a group of one
-    needs no matrix and has weight 1.
+    criterion's leaves under its id; a group of one needs no matrix and has weight 1.
+    The matrices are loaded in that order and weighed in one `weigh_judgments` call;
+    those before a file that fails to load are weighed first, so the first faulty
+    file in config order is the one named.
 
     A matrix whose order does not match its group, that is not a valid reciprocal
     matrix on the 1/9..9 scale or that the repair cannot fix is a ValueError naming
@@ -281,28 +283,33 @@ def _subjective_weights(h: IndexHierarchy, cfg: PipelineConfig) -> dict[str, Wei
     if unknown:
         raise ValueError(f"{config}: 'indicator_matrices' keys {', '.join(map(repr, unknown))} "
                          f"name no criterion of {cfg.hierarchy}")
-
-    def weigh(path: Path, ids: list[str], what: str) -> WeightVector:
+    groups = [(h.root_id, h.criterion_ids(), cfg.criterion_matrix, "criteria")] + [
+        (cid, leaf_indicators(h, cid), cfg.indicator_matrices.get(cid), f"leaves of {cid}")
+        for cid in h.criterion_ids()]
+    loaded, failed = [], None
+    for key, ids, path, what in groups:
         if len(ids) == 1:
-            return WeightVector(tuple(ids), np.array([1.0]))
-        j = load_judgment_csv(path)
-        if j.shape[0] != len(ids):
-            raise ValueError(f"{path}: order {j.shape[0]} does not match {len(ids)} {what}")
+            continue
         try:
-            repaired, _ = auto_correct(j, cfg.repair)  # checks the matrix and its scale first
-        except ValueError as e:
-            raise ValueError(f"{path}: {e}") from None
-        except RepairError as e:
-            raise ValueError(f"{path}: judgment-matrix repair failed: {e}") from None
-        return principal_weights(repaired, ids=ids)
-
-    weights = {h.root_id: weigh(cfg.criterion_matrix, h.criterion_ids(), "criteria")}
-    for cid in h.criterion_ids():
-        ids = leaf_indicators(h, cid)
-        if len(ids) > 1 and cid not in cfg.indicator_matrices:
-            raise ValueError(f"{config}: no judgment matrix configured for criterion {cid!r}")
-        weights[cid] = weigh(cfg.indicator_matrices.get(cid), ids, f"leaves of {cid}")
-    return weights
+            if path is None:
+                raise ValueError(f"{config}: no judgment matrix configured for criterion {key!r}")
+            j = load_judgment_csv(path)
+            if j.shape[0] != len(ids):
+                raise ValueError(f"{path}: order {j.shape[0]} does not match {len(ids)} {what}")
+        except (ValueError, OSError) as e:
+            failed = e
+            break
+        loaded.append((path, j))
+    weighed = weigh_judgments([j for _, j in loaded], cfg.repair)
+    for (path, _), got in zip(loaded, weighed):
+        if isinstance(got, Exception):
+            why = "judgment-matrix repair failed: " if isinstance(got, RepairError) else ""
+            raise ValueError(f"{path}: {why}{got}") from None
+    if failed:
+        raise failed
+    found = iter(weighed)
+    return {key: WeightVector(tuple(ids), np.array([1.0]) if len(ids) == 1 else next(found)[1])
+            for key, ids, _, _ in groups}
 
 
 def _by_criterion(h: IndexHierarchy, w: WeightVector) -> tuple[WeightVector, dict[str, WeightVector]]:

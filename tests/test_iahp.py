@@ -3,11 +3,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cloudmcdm.iahp import (
     PREFERENCE_VALUES,
+    RANDOM_INDEX,
     RepairConfig,
     RepairError,
     RepairTrace,
@@ -23,6 +24,7 @@ from cloudmcdm.iahp import (
     repair_step,
     to_preference,
     validate_judgment,
+    weigh_judgments,
 )
 
 from helpers import consistent_judgment, perturbed_judgment
@@ -310,14 +312,46 @@ def _reference_per_call_indices(p):
     return out
 
 
+def _power_iteration_one(a: np.ndarray, tol: float = 1e-12, max_sweeps: int = 10_000
+                         ) -> tuple[np.ndarray, float]:
+    # iahp._power_iteration before the stacked sweeps, verbatim: one matrix, one vector
+    n = a.shape[0]
+    v = np.full(n, 1.0 / n)
+    for _ in range(max_sweeps):
+        av = a @ v
+        nxt = av / av.sum()
+        if np.abs(nxt - v).max() < tol:
+            v = nxt
+            break
+        v = nxt
+    else:
+        raise RuntimeError("power iteration did not converge")
+    av = a @ v
+    lam = float(np.mean(av / v))
+    return v / v.sum(), lam
+
+
+def _consistency_ratio_one(j):
+    # consistency_ratio before weigh_judgments, verbatim, on the power iteration above
+    validate_judgment(j)
+    n = j.shape[0]
+    _, lam = _power_iteration_one(np.asarray(j, dtype=float))
+    ci = (lam - n) / (n - 1)
+    ri = RANDOM_INDEX[n]
+    cr = 0.0 if ri == 0 else ci / ri
+    return lam, ci, cr
+
+
 def _auto_correct_per_call_indices(j, cfg):
-    # auto_correct's loop, verbatim, on the reference above
+    # auto_correct's one-matrix loop before weigh_judgments, verbatim, on the reference
+    # above, with that time's distance and repair step written out and its CR test
+    # on the one-matrix power iteration
     validate_judgment(j)
     trace = RepairTrace()
     p = to_preference(j)
     while True:
         pbar = _reference_per_call_indices(p)
-        trace.distances.append(preference_distance(p, pbar))
+        trace.distances.append(float(np.sqrt(np.sum(np.abs(p - pbar) ** 2))))
         if trace.distances[-1] < cfg.tau:
             break
         if trace.iterations == cfg.max_iter:
@@ -326,12 +360,14 @@ def _auto_correct_per_call_indices(j, cfg):
                 f"(last d = {trace.distances[-1]:.4f})",
                 trace,
             )
-        p = repair_step(p, pbar, cfg.sigma)
+        num = p ** (1.0 - cfg.sigma) * pbar**cfg.sigma
+        den = (1.0 - p) ** (1.0 - cfg.sigma) * (1.0 - pbar) ** cfg.sigma
+        p = num / (num + den)
     if trace.iterations == 0:
         repaired = np.asarray(j, dtype=float).copy()
     else:
         repaired = from_preference(np.clip(p, 0.1, 0.9))
-    _, _, cr = consistency_ratio(repaired)
+    _, _, cr = _consistency_ratio_one(repaired)
     trace.final_cr = cr
     if cr >= 0.1:
         raise RepairError(f"repaired matrix still fails the CR test (CR = {cr:.4f})", trace)
@@ -370,6 +406,73 @@ def test_auto_correct_matches_the_per_call_index_loop(n, seed, kind, sigma, tau,
     want = _repair_outcome(_auto_correct_per_call_indices, j, cfg)
     assert got[0] == want[0] and got[2:] == want[2:]
     assert (got[1] is None and want[1] is None) or np.array_equal(got[1], want[1])
+
+
+def _judgment_of(n, seed, kind):
+    rng = np.random.default_rng(seed)
+    if kind == "ones":  # consistent: needs no repair step
+        return np.ones((n, n))
+    if kind == "ninths":  # every later item 9 times the earlier: repaired, yet fails the CR test
+        return np.triu(np.full((n, n), 1 / 9), 1) + np.tril(np.full((n, n), 9.0), -1) + np.eye(n)
+    j = perturbed_judgment(n, rng, int(rng.integers(0, 9)))
+    if kind == "off-scale":
+        j[0, 1], j[1, 0] = 2.5, 0.4
+    elif kind == "not-reciprocal":
+        j[0, 1] = j[1, 0] = 3.0
+    return j
+
+
+def _weighed_outcome(got):
+    if isinstance(got, RepairError):
+        return "repair", str(got), got.trace.distances, got.trace.final_cr
+    if isinstance(got, ValueError):
+        return "invalid", str(got)
+    repaired, weights, trace = got
+    return "ok", repaired.tobytes(), weights.tobytes(), trace.distances, trace.final_cr
+
+
+def _weighed_one_at_a_time(j, cfg):
+    # the pipeline before weigh_judgments: auto_correct, then principal_weights on its result
+    try:
+        repaired, trace = _auto_correct_per_call_indices(j, cfg)
+    except (RepairError, ValueError) as e:
+        return e
+    validate_judgment(repaired)
+    return repaired, _power_iteration_one(repaired)[0], trace
+
+
+KINDS = ["perturbed", "ones", "ninths", "off-scale", "not-reciprocal"]
+# one stack that holds every outcome: zero steps (order 2, ones), max_iter reached (the
+# order-15 matrices), the CR test failed after repair (ninths), both input errors and successes
+MIXED = [(2, 1, "perturbed"), (5, 0, "ones"), (15, 3, "perturbed"), (6, 0, "ninths"), (4, 2, "off-scale"),
+         (7, 5, "perturbed"), (15, 8, "perturbed"), (3, 4, "not-reciprocal"), (7, 6, "perturbed"),
+         (5, 7, "perturbed")]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(2, 15), st.integers(0, 2**32 - 1), st.sampled_from(KINDS)),
+                min_size=1, max_size=10),
+       st.floats(0.05, 0.95), st.floats(0.01, 0.5), st.integers(1, 30))
+@example(MIXED, 0.8, 0.1, 3)
+def test_weigh_judgments_matches_the_one_matrix_loop(specs, sigma, tau, max_iter):
+    # mixed orders in one call: every matrix gets the repaired matrix, weights, CR and
+    # distances bit for bit, and the error text, that it got when solved on its own
+    cfg = RepairConfig(sigma=sigma, tau=tau, max_iter=max_iter)
+    matrices = [_judgment_of(*spec) for spec in specs]
+    got = [_weighed_outcome(w) for w in weigh_judgments(matrices, cfg)]
+    want = [_weighed_outcome(_weighed_one_at_a_time(j, cfg)) for j in matrices]
+    assert got == want
+
+
+def test_the_mixed_stack_reaches_every_outcome():
+    cfg = RepairConfig(max_iter=3)
+    outcomes = [_weighed_outcome(w) for w in weigh_judgments([_judgment_of(*spec) for spec in MIXED], cfg)]
+    kinds = {o[0] for o in outcomes}
+    messages = " | ".join(o[1] for o in outcomes if o[0] != "ok")
+    zero_steps = [o for o in outcomes if o[0] == "ok" and len(o[3]) == 1]
+    assert kinds == {"ok", "repair", "invalid"} and len(zero_steps) == 2
+    for text in ("within 3 iterations", "fails the CR test", "not on the 1/9..9 scale", "reciprocity violated"):
+        assert text in messages
 
 
 # -- weights and CR ----------------------------------------------------------

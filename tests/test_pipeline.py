@@ -534,7 +534,7 @@ BROKEN_INPUTS = [
                  id="hierarchy-non-ascii-id"),
     pytest.param(_edit_json("hierarchy.json", lambda doc: doc["root"].update(children=[])), [], "hierarchy.json",
                  "invalid hierarchy: root has no criteria", id="hierarchy-no-criteria"),
-    # matrices are repaired one at a time, criteria first, so the first to fail is blamed
+    # the first matrix in config order to fail, the criteria's here, is the one blamed
     pytest.param(_edit_json("config_before.json", lambda doc: doc.update(max_iter=1, tau=0.0001)), [],
                  "judgment/criteria.csv", "judgment-matrix repair failed: repair did not reach d < 0.0001 "
                  "within 1 iterations", id="unrepairable"),
@@ -574,6 +574,42 @@ def test_every_command_rejects_a_broken_input_alike(tmp_path, capsys, breaks, fl
         assert str(tmp_path) not in err
     else:
         assert err.startswith(f"error: {tmp_path / name}: ")
+
+
+def _unrepairable(name: str):
+    # every later item 9 times each earlier one: the repair converges, but the CR test fails
+    def apply(root: Path) -> None:
+        n = len((root / name).read_text().splitlines())
+        (root / name).write_text("".join(",".join("1" if i == k else "1/9" if k > i else "9" for k in range(n))
+                                         + "\n" for i in range(n)))
+    return apply
+
+
+# how to break a judgment file, and the message that names it
+JUDGMENT_FAULTS = {
+    "unrepairable": (_unrepairable, "judgment-matrix repair failed: repaired matrix still fails the CR test "
+                                    "(CR = 0.4938)"),
+    "off-scale": (lambda name: _set_cells(name, (0, 1, "2.5"), (1, 0, "0.4")),
+                  "at cell (1,2) is not on the 1/9..9 scale"),
+    "malformed": (lambda name: _write(name, "garbage,x\n"), "row 1 has 2 entries, expected 1"),
+}
+
+
+@pytest.mark.parametrize("first, second", [("unrepairable", "off-scale"), ("off-scale", "unrepairable"),
+                                           ("unrepairable", "malformed"), ("malformed", "unrepairable")])
+def test_the_first_faulty_judgment_file_in_config_order_is_named(tmp_path, capsys, first, second):
+    # all matrices are weighed in one call, and a file that fails to load stops the
+    # loading; either way C2, before C5 in config order, is the file named
+    _copy_demo(tmp_path)
+    JUDGMENT_FAULTS[first][0]("judgment/C2.csv")(tmp_path)
+    JUDGMENT_FAULTS[second][0]("judgment/C5.csv")(tmp_path)
+    config = str(tmp_path / "config_before.json")
+    for argv in (["validate", config], ["weights", config], ["evaluate", config],
+                 ["droplets", config, "--level", "comprehensive"]):
+        assert cli_main(argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: {tmp_path / 'judgment' / 'C2.csv'}: ")
+        assert err.endswith(f"{JUDGMENT_FAULTS[first][1]}\n") and "C5" not in err
 
 
 def test_validate_parses_the_hierarchy_once(monkeypatch, capsys):
