@@ -13,7 +13,7 @@ from cloudmcdm.svgplot import cloud_diagram
 # pretend 200 experts scored one indicator; their ratings follow a normal cloud
 ratings = np.clip(forward_cloud(CloudParams(82, 6, 1.5), 200, seed=7).x, 0, 100)
 
-concept = indicator_cloud(ratings)
+[concept] = indicator_cloud(ratings)  # one column, so one cloud
 print(f"estimated cloud: Ex={concept.ex:.3f}  En={concept.en:.3f}  He={concept.he:.3f}")
 
 label, similarities = assign_grade(concept, DEFAULT_SCHEME)

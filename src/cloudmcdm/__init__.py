@@ -13,22 +13,17 @@ from .iahp import (
     RepairTrace,
     auto_correct,
     consistency_ratio,
-    consistent_reference,
     from_preference,
-    preference_distance,
     principal_weights,
-    repair_step,
     to_preference,
 )
 from .combiner import CombinationResult, combine_weights, deviation_matrix
 from .cloud import (
-    BackwardResult,
     CloudParams,
     DropletSet,
     GradeScheme,
     aggregate_clouds,
     assign_grade,
-    backward_cloud,
     cloud_similarity,
     forward_cloud,
     grade_cloud,

@@ -13,7 +13,6 @@ from pathlib import Path
 
 from .cloud import forward_cloud
 from .pipeline import (
-    EvaluationReport,
     PipelineConfig,
     compare_scenarios,
     compute_weights,

@@ -1,5 +1,6 @@
-"""Normal cloud model: forward/backward generators, grade clouds, weighted
-aggregation, similarity, and maximum-similarity grade assignment.
+"""Normal cloud model: forward generator, backward generator over every rating
+column in one pass, grade clouds, weighted aggregation, similarity, and
+maximum-similarity grade assignment.
 
 A qualitative concept is the triple (Ex, En, He): expected value, entropy
 (breadth of the concept) and hyper-entropy (dispersion of the breadth, the
@@ -14,6 +15,7 @@ quadrature, so grades and tables depend on neither a seed nor a droplet count.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -51,13 +53,6 @@ class CloudParams:
 class DropletSet:
     x: np.ndarray
     mu: np.ndarray
-    en_prime: np.ndarray | None = None  # per-droplet entropy draws, for diagnostics
-
-
-@dataclass(frozen=True)
-class BackwardResult:
-    params: CloudParams
-    he_clamped: bool  # True when S^2 < En^2 forced the He estimate to 0
 
 
 @dataclass(frozen=True)
@@ -152,30 +147,26 @@ def forward_cloud(c: CloudParams, n: int, seed: int) -> DropletSet:
     """
     x, enp = _droplets(c, n, _rng(seed))
     mu = np.ones(n) if enp is None else np.exp(-((x - c.ex) ** 2) / (2.0 * enp**2))
-    return DropletSet(x=x, mu=mu, en_prime=enp)
+    return DropletSet(x=x, mu=mu)
 
 
-def backward_cloud(samples: np.ndarray) -> BackwardResult:
-    """Moment-based parameter estimation from raw samples (no memberships).
-
-    Ex^ = mean, En^ = sqrt(pi/2) * mean|x - Ex^|, He^ = sqrt(max(0, S^2 - En^2))
-    with S^2 the unbiased sample variance. The clamp at 0 is flagged.
-    """
-    x = np.asarray(samples, dtype=float).ravel()
-    if x.size < MIN_SAMPLES:
-        raise ValueError(f"backward generator needs at least {MIN_SAMPLES} samples, got {x.size}")
-    ex = float(x.mean())
-    en = float(np.sqrt(np.pi / 2.0) * np.abs(x - ex).mean())
-    s2 = float(x.var(ddof=1))
-    gap = s2 - en**2
-    clamped = gap < 0
-    he = float(np.sqrt(max(0.0, gap)))
-    return BackwardResult(params=CloudParams(ex, en, he), he_clamped=clamped)
-
-
-def indicator_cloud(ratings: np.ndarray) -> CloudParams:
-    """Cloud parameters of one indicator from its 0-100 rating samples."""
-    return backward_cloud(ratings).params
+def indicator_cloud(ratings: np.ndarray) -> list[CloudParams]:
+    """Cloud of each column of a samples x indicators rating matrix (a 1-D array is
+    one column) from moments: Ex^ = mean, En^ = sqrt(pi/2) * mean|x - Ex^| and
+    He^ = sqrt(max(0, S^2 - En^2)), S^2 the unbiased sample variance. Columns sum in
+    Fortran order, so each cloud has the bits of its column estimated alone."""
+    x = np.asfortranarray(ratings, dtype=float).reshape(len(ratings), -1)
+    n = len(x)
+    if n < MIN_SAMPLES:
+        raise ValueError(f"backward generator needs at least {MIN_SAMPLES} samples, got {n}")
+    ex = x.sum(axis=0) / n
+    dev = np.subtract(x, ex, out=np.empty_like(x))  # the one ratings-sized buffer
+    np.abs(dev, out=dev)
+    en = np.sqrt(np.pi / 2.0) * (dev.sum(axis=0) / n)
+    np.multiply(dev, dev, out=dev)  # |d| * |d| has the bits of d * d
+    s2 = dev.sum(axis=0) / (n - 1)
+    return [CloudParams(e, s, math.sqrt(max(0.0, v - s**2)))
+            for e, s, v in zip(ex.tolist(), en.tolist(), s2.tolist())]
 
 
 def grade_cloud(band: tuple[float, float], he_ratio: float = 0.1) -> CloudParams:

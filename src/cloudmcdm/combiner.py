@@ -22,7 +22,6 @@ _FALLBACK_THETA = np.array([1.0, 1.0]) / np.sqrt(2.0)
 class CombinationResult:
     theta: tuple[float, float]          # (subjective, objective) mixing coefficients
     combined: WeightVector              # simplex-normalized fused weights
-    objective_value: float              # attained deviation square sum, theta' M theta
 
 
 def deviation_matrix(z: DataMatrix) -> np.ndarray:
@@ -68,7 +67,5 @@ def combine_weights(ws: WeightVector, wo: WeightVector, z: DataMatrix) -> Combin
         theta = theta / np.linalg.norm(theta)
     wc = w @ theta
     wc = wc / wc.sum()
-    value = float(theta @ m2 @ theta)
     combined = WeightVector(ws.indicator_ids, wc)
-    return CombinationResult(theta=(float(theta[0]), float(theta[1])), combined=combined,
-                             objective_value=value)
+    return CombinationResult(theta=(float(theta[0]), float(theta[1])), combined=combined)

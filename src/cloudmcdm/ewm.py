@@ -27,7 +27,7 @@ class WeightVector:
         if (w < -_SIMPLEX_TOL).any():
             raise ValueError("weights must be nonnegative")
         if abs(w.sum() - 1.0) > _SIMPLEX_TOL:
-            raise ValueError(f"weights must sum to 1, got {w.sum()!r}")
+            raise ValueError(f"weights must sum to 1, got {float(w.sum())}")
 
     def as_dict(self) -> dict[str, float]:
         return {i: float(w) for i, w in zip(self.indicator_ids, self.weights)}

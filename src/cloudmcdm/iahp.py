@@ -7,6 +7,7 @@ toward that reference until the Frobenius distance drops under a threshold.
 The repaired relation is mapped back to the 1/9..9 scale and the usual CR test
 is applied to the result. `weigh_judgments` repairs the matrices of one order
 in lockstep, with one power iteration per matrix for its CR and its weights;
+its reference, distance and pull steps are private kernels over such stacks.
 `auto_correct`, `consistency_ratio` and `principal_weights` are one-matrix calls.
 """
 
@@ -89,7 +90,7 @@ def validate_judgment(j: np.ndarray) -> None:
     j = _check_square(j, "judgment matrix")
     if not np.isfinite(j).all():
         i, k = np.argwhere(~np.isfinite(j))[0]
-        raise ValueError(f"non-finite entry {j[i, k]!r} at cell ({i + 1},{k + 1})")
+        raise ValueError(f"non-finite entry {float(j[i, k])} at cell ({i + 1},{k + 1})")
     n = j.shape[0]
     if not (2 <= n <= 15):
         raise ValueError(f"judgment matrix order must be in [2, 15], got {n}")
@@ -114,7 +115,7 @@ def to_preference(j: np.ndarray) -> np.ndarray:
     if off.any():
         i, k = np.argwhere(off)[0]
         raise ValueError(
-            f"entry {j[i, k]!r} at cell ({i + 1},{k + 1}) is not on the 1/9..9 scale"
+            f"entry {float(j[i, k])} at cell ({i + 1},{k + 1}) is not on the 1/9..9 scale"
         )
     return PREFERENCE_VALUES[idx]
 
@@ -128,7 +129,7 @@ def from_preference(p: np.ndarray) -> np.ndarray:
     p = _check_square(p, "preference relation")
     if (p < 0.1 - _SCALE_TOL).any() or (p > 0.9 + _SCALE_TOL).any():
         i, k = np.argwhere((p < 0.1 - _SCALE_TOL) | (p > 0.9 + _SCALE_TOL))[0]
-        raise ValueError(f"preference value {p[i, k]!r} at cell ({i + 1},{k + 1}) outside [0.1, 0.9]")
+        raise ValueError(f"preference value {float(p[i, k])} at cell ({i + 1},{k + 1}) outside [0.1, 0.9]")
     p = np.clip(p, 0.1, 0.9)
     n = p.shape[0]
     i, k = np.triu_indices(n, 1)
@@ -197,53 +198,15 @@ def _references(p: np.ndarray) -> tuple[np.ndarray, list[ValueError | None]]:
     return out, errors
 
 
-def consistent_reference(p: np.ndarray) -> np.ndarray:
-    """Consistent reference relation from geometric chains.
-
-    For j > i+1 the entry is rebuilt from the normalized geometric mean of the
-    chains p_it * p_tj over intermediate t; entries with j <= i+1 are copied
-    and the lower triangle follows by complementarity. Orders <= 2 pass through.
-    """
-    p = _check_square(p, "preference relation")
-    out, errors = _references(p[None])
-    if errors[0]:
-        raise errors[0]
-    return out[0]
-
-
 def _distances(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum((np.abs(p - q) ** 2).reshape(len(p), -1), axis=1))
 
 
-def preference_distance(p: np.ndarray, q: np.ndarray) -> float:
-    """Frobenius distance sqrt(sum |p_ij - q_ij|^2) over all cells."""
-    p = _check_square(p, "preference relation")
-    q = _check_square(q, "preference relation")
-    if p.shape != q.shape:
-        raise ValueError(f"dimension mismatch: {p.shape} vs {q.shape}")
-    return float(_distances(p[None], q[None])[0])
-
-
 def _pull(p: np.ndarray, pbar: np.ndarray, sigma: float) -> np.ndarray:
+    """One repair step toward pbar: a log-odds interpolation, so complementarity holds."""
     num = p ** (1.0 - sigma) * pbar**sigma
     den = (1.0 - p) ** (1.0 - sigma) * (1.0 - pbar) ** sigma
     return num / (num + den)
-
-
-def repair_step(p: np.ndarray, pbar: np.ndarray, sigma: float) -> np.ndarray:
-    """One geometric repair step pulling p toward the reference pbar.
-
-    r~ = p^(1-s) pbar^s / (p^(1-s) pbar^s + (1-p)^(1-s) (1-pbar)^s).
-    Equivalent to linear interpolation in log-odds, so complementarity is
-    preserved exactly. sigma endpoints 0 and 1 reproduce p and pbar.
-    """
-    if not 0.0 <= sigma <= 1.0:
-        raise ValueError(f"sigma must lie in [0,1], got {sigma}")
-    p = _check_square(p, "preference relation")
-    pbar = _check_square(pbar, "reference relation")
-    if p.shape != pbar.shape:
-        raise ValueError(f"dimension mismatch: {p.shape} vs {pbar.shape}")
-    return _pull(p, pbar, sigma)
 
 
 def weigh_judgments(matrices, cfg: RepairConfig | None = None) -> list[tuple | ValueError | RepairError]:

@@ -203,12 +203,6 @@ class EvaluationReport:
             if abs(total - 1.0) > 1e-9 or any(v < -1e-12 for v in table.values()):
                 raise ValueError(f"weight table leaves the simplex (sum {total})")
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> "EvaluationReport":
-        """Inverse of `to_dict`: a missing required key raises KeyError, unknown
-        keys are ignored, and an absent tool_version defaults to this version."""
-        return cls(**{f.name: doc[f.name] for f in fields(cls) if f.name in doc or f.default is MISSING})
-
 
 def _round_floats(doc):
     """Copy of a JSON document with every float at REPORT_DIGITS significant digits."""
@@ -351,8 +345,7 @@ def score_clouds(inputs: PipelineInputs, ws: WeightSet, cfg: PipelineConfig
     """Leaf clouds from the ratings, criterion clouds aggregated from them with the
     local combined weights, and the comprehensive cloud aggregated from those."""
     h = inputs.hierarchy
-    leaf_clouds = {leaf: indicator_cloud(inputs.ratings.values[:, k])
-                   for k, leaf in enumerate(inputs.leaves)}
+    leaf_clouds = dict(zip(inputs.leaves, indicator_cloud(inputs.ratings.values)))
     crit_clouds = {cid: aggregate_clouds([leaf_clouds[i] for i in leaf_indicators(h, cid)],
                                          ws.local_combined[cid], strategy=cfg.aggregation)
                    for cid in h.criterion_ids()}
@@ -458,16 +451,14 @@ def load_report(path: str | Path) -> dict:
     return doc
 
 
-def compare_scenarios(a: EvaluationReport | dict, b: EvaluationReport | dict,
-                      names: tuple[str, str] = ("first report", "second report")) -> dict:
-    """Per-level parameter deltas between two reports on the same hierarchy, scheme
-    and criteria; `names` name the two reports in the ValueError raised otherwise.
+def compare_scenarios(da: dict, db: dict, names: tuple[str, str] = ("first report", "second report")) -> dict:
+    """Per-level parameter deltas between two report documents (`load_report` or
+    `EvaluationReport.to_dict`) on the same hierarchy, scheme and criteria; `names`
+    name the two reports in the ValueError raised otherwise.
 
     Flags the three directional signals individually: delta Ex > 0,
     delta En < 0, delta He < 0 on the comprehensive cloud.
     """
-    da = a.to_dict() if isinstance(a, EvaluationReport) else a
-    db = b.to_dict() if isinstance(b, EvaluationReport) else b
     na, nb = names
     if da["hierarchy_digest"] != db["hierarchy_digest"]:
         raise ValueError(f"{na} and {nb} were produced from different hierarchies")

@@ -11,17 +11,17 @@ from cloudmcdm.cloud import (
     AGGREGATIONS,
     CloudParams,
     DEFAULT_SCHEME,
+    MIN_SAMPLES,
     GradeScheme,
     aggregate_clouds,
     assign_grade,
-    backward_cloud,
     cloud_similarity,
     forward_cloud,
     grade_cloud,
     grade_clouds,
     indicator_cloud,
 )
-from cloudmcdm.cloud import _rng
+from cloudmcdm.cloud import _droplets, _rng
 
 sys.path.insert(0, str(REPO / "perfbench"))
 import similarity_ref  # noqa: E402  (the quadrature reference of perfbench/run.py)
@@ -132,40 +132,81 @@ def test_non_finite_entropy_rejected(field, value):
 
 
 def test_entropy_draws_positive():
-    d = forward_cloud(CloudParams(50, 1, 3), 10_000, seed=5)  # heavy truncation
-    assert (d.en_prime > 0).all()
+    _, enp = _droplets(CloudParams(50, 1, 3), 10_000, _rng(5))  # heavy truncation
+    assert (enp > 0).all()
 
 
 # -- backward generator ------------------------------------------------------
 
-def test_backward_constant_samples():
-    r = backward_cloud(np.full(20, 85.0))
-    assert r.params == CloudParams(85, 0, 0)
+def backward_cloud_per_column(samples):
+    # cloud.backward_cloud before the one-pass indicator_cloud, verbatim, returning
+    # its (params, he_clamped) pair: the oracle of each column of indicator_cloud
+    x = np.asarray(samples, dtype=float).ravel()
+    if x.size < MIN_SAMPLES:
+        raise ValueError(f"backward generator needs at least {MIN_SAMPLES} samples, got {x.size}")
+    ex = float(x.mean())
+    en = float(np.sqrt(np.pi / 2.0) * np.abs(x - ex).mean())
+    s2 = float(x.var(ddof=1))
+    gap = s2 - en**2
+    clamped = gap < 0
+    he = float(np.sqrt(max(0.0, gap)))
+    return CloudParams(ex, en, he), clamped
 
 
-def test_backward_needs_ten_samples():
-    with pytest.raises(ValueError, match="10 samples"):
-        backward_cloud(np.arange(9))
+# two-point ratings: S^2 = 2000/19 lies below En^2 = 50 pi, so He clamps to 0
+CLAMPED = np.array([40.0, 60.0] * 10)
+
+
+def _ratings(n, m, seed, digits):
+    # each column with its own centre and spread, clipped to the rating scale
+    rng = np.random.default_rng(seed)
+    x = np.clip(rng.normal(rng.uniform(20, 95, m), rng.uniform(0.5, 15, m), (n, m)), 0.0, 100.0)
+    return x if digits is None else np.round(x, digits)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(10, 300), st.integers(1, 20), st.integers(0, 2**32 - 1), st.sampled_from("CF"),
+       st.sampled_from([None, 0, 1, 4]), st.booleans())
+def test_one_pass_backward_matches_per_column_oracle(n, m, seed, order, digits, clamp):
+    x = _ratings(n, m, seed, digits)
+    if clamp:
+        x[:, m // 2] = np.resize(CLAMPED, n)
+    want = [backward_cloud_per_column(x[:, k]) for k in range(m)]
+    assert indicator_cloud(np.asarray(x, order=order)) == [params for params, _ in want]
+    if clamp:
+        assert want[m // 2][1] and want[m // 2][0].he == 0.0
+
+
+def test_one_pass_backward_clamps_he_and_rejects_short_columns():
+    steady = np.linspace(60.0, 90.0, CLAMPED.size)
+    (clamped, flag), (other, _) = map(backward_cloud_per_column, (CLAMPED, steady))
+    assert flag and clamped.he == 0.0
+    assert indicator_cloud(np.column_stack([CLAMPED, steady])) == [clamped, other]
+    assert indicator_cloud(CLAMPED) == [clamped]  # a 1-D array is one column
+    assert indicator_cloud(np.full(20, 85.0)) == [CloudParams(85, 0, 0)]
+    for short in (np.arange(9.0), np.ones((9, 3))):
+        with pytest.raises(ValueError, match="at least 10 samples, got 9"):
+            indicator_cloud(short)
 
 
 def test_round_trip_recovery():
     d = forward_cloud(CloudParams(85, 5, 0.5), 100_000, seed=12345)
-    r = backward_cloud(d.x)
-    assert r.params.ex == pytest.approx(85.0, abs=0.1)
-    assert r.params.en == pytest.approx(5.0, abs=0.15)
-    assert r.params.he == pytest.approx(0.5, abs=0.15)
+    [r] = indicator_cloud(d.x)
+    assert r.ex == pytest.approx(85.0, abs=0.1)
+    assert r.en == pytest.approx(5.0, abs=0.15)
+    assert r.he == pytest.approx(0.5, abs=0.15)
 
 
 def test_pure_gaussian_he_near_zero():
     d = forward_cloud(CloudParams(70, 4, 0), 100_000, seed=8)
-    r = backward_cloud(d.x)
-    assert r.params.he <= 0.15 * 4.0
+    [r] = indicator_cloud(d.x)
+    assert r.he <= 0.15 * 4.0
 
 
 def test_indicator_cloud_from_ratings():
-    assert indicator_cloud(np.full(20, 90.0)) == CloudParams(90, 0, 0)
+    assert indicator_cloud(np.full(20, 90.0)) == [CloudParams(90, 0, 0)]
     d = forward_cloud(CloudParams(82, 5, 1), 100_000, seed=6)
-    p = indicator_cloud(d.x)
+    [p] = indicator_cloud(d.x)
     assert p.ex == pytest.approx(82, abs=0.1)
     assert p.en == pytest.approx(5, abs=0.15)
     assert p.he == pytest.approx(1, abs=0.15)
@@ -175,7 +216,7 @@ def test_bimodal_ratings_inflate_entropy():
     rng = np.random.default_rng(9)
     cluster = rng.normal(70, 1.5, 100)
     split = np.concatenate([rng.normal(60, 1.5, 100), rng.normal(80, 1.5, 100)])
-    assert indicator_cloud(split).en > indicator_cloud(cluster).en
+    assert indicator_cloud(split)[0].en > indicator_cloud(cluster)[0].en
 
 
 # -- grade clouds and schemes ------------------------------------------------
@@ -407,10 +448,12 @@ def test_forward_cloud_matches_reference(seed, n):
         d = forward_cloud(c, n, seed)
         x, enp = reference_generate(c, n, _rng(seed))
         np.testing.assert_array_equal(d.x, x, strict=True)
+        got_x, got_enp = _droplets(c, n, _rng(seed))
+        np.testing.assert_array_equal(got_x, x, strict=True)
         if enp is None:
-            assert d.en_prime is None
+            assert got_enp is None
         else:
-            np.testing.assert_array_equal(d.en_prime, enp, strict=True)
+            np.testing.assert_array_equal(got_enp, enp, strict=True)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7])

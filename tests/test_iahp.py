@@ -15,17 +15,15 @@ from cloudmcdm.iahp import (
     SAATY_VALUES,
     auto_correct,
     consistency_ratio,
-    consistent_reference,
     from_preference,
     load_judgment_csv,
     parse_scale_value,
-    preference_distance,
     principal_weights,
-    repair_step,
     to_preference,
     validate_judgment,
     weigh_judgments,
 )
+from cloudmcdm.iahp import _distances, _pull, _references
 
 from helpers import consistent_judgment, perturbed_judgment
 
@@ -34,6 +32,18 @@ CYCLIC_3 = np.array([[1, 3, 1 / 5], [1 / 3, 1, 7], [5, 1 / 7, 1]])
 
 def pref_of(j):
     return to_preference(np.asarray(j, dtype=float))
+
+
+def reference_of(p):
+    # the consistent reference of one relation, from the stacked kernel weigh_judgments runs
+    out, [error] = _references(np.asarray(p, dtype=float)[None])
+    if error:
+        raise error
+    return out[0]
+
+
+def distance(p, q):
+    return float(_distances(p[None], q[None])[0])
 
 
 # -- scale transform ---------------------------------------------------------
@@ -74,8 +84,9 @@ def test_from_preference_matches_per_cell_reference():
 
 
 def test_from_preference_range_check():
-    with pytest.raises(ValueError, match="outside"):
+    with pytest.raises(ValueError) as e:
         from_preference(np.array([[0.5, 0.95], [0.05, 0.5]]))
+    assert str(e.value) == "preference value 0.95 at cell (1,2) outside [0.1, 0.9]"
 
 
 def test_round_trip_exact_on_scale_matrices():
@@ -89,7 +100,7 @@ def test_round_trip_exact_on_scale_matrices():
 
 def test_reference_identity_for_order_2():
     p = pref_of([[1, 3], [1 / 3, 1]])
-    np.testing.assert_array_equal(consistent_reference(p), p)
+    np.testing.assert_array_equal(reference_of(p), p)
 
 
 def _reference_per_cell(p):
@@ -121,7 +132,7 @@ def test_reference_matches_per_cell_chain_loop(knots):
     for n in range(1, 16):
         for _ in range(8):
             p = _random_relation(n, rng, knots)
-            np.testing.assert_array_equal(consistent_reference(p), _reference_per_cell(p))
+            np.testing.assert_array_equal(reference_of(p), _reference_per_cell(p))
 
 
 def test_reference_zero_product_names_first_cell_like_loop():
@@ -134,27 +145,27 @@ def test_reference_zero_product_names_first_cell_like_loop():
         with pytest.raises(ValueError) as want:
             _reference_per_cell(p)
         with pytest.raises(ValueError, match="zero product") as got:
-            consistent_reference(p)
+            reference_of(p)
         assert str(got.value) == str(want.value)
 
 
 def test_reference_reaches_fixed_point():
     j = consistent_judgment(np.array([0.6, 0.3, 0.1]))  # ratios 2, 3, 6: all on scale
-    ref = consistent_reference(pref_of(j))
-    np.testing.assert_allclose(consistent_reference(ref), ref, atol=1e-9)
+    ref = reference_of(pref_of(j))
+    np.testing.assert_allclose(reference_of(ref), ref, atol=1e-9)
 
 
 def test_reference_ignores_corrupted_long_range_cell():
     p = pref_of(CYCLIC_3)
     q = p.copy()
     q[0, 2], q[2, 0] = 1.0 - q[0, 2], 1.0 - q[2, 0]  # corrupt the (1,3) chain target
-    assert consistent_reference(p)[0, 2] == consistent_reference(q)[0, 2]
+    assert reference_of(p)[0, 2] == reference_of(q)[0, 2]
 
 
 def test_reference_preserves_complementarity():
     rng = np.random.default_rng(4)
     p = pref_of(perturbed_judgment(7, rng))
-    ref = consistent_reference(p)
+    ref = reference_of(p)
     np.testing.assert_allclose(ref + ref.T, 1.0, atol=1e-9)
 
 
@@ -163,7 +174,7 @@ def test_reference_preserves_complementarity():
 def test_reference_complementarity_is_exact_and_repairs_are_valid_judgments(n, seed, knots):
     rng = np.random.default_rng(seed)
     p = _random_relation(n, rng, knots)
-    ref = consistent_reference(p)
+    ref = reference_of(p)
     i, j = np.triu_indices(n, 1)
     assert np.array_equal(ref[j, i], 1.0 - ref[i, j])
     assert np.array_equal(np.diag(ref), np.diag(p))
@@ -179,7 +190,7 @@ def test_reference_complementarity_is_exact_and_repairs_are_valid_judgments(n, s
 
 def test_distance_identity():
     p = pref_of(CYCLIC_3)
-    assert preference_distance(p, p) == 0.0
+    assert distance(p, p) == 0.0
 
 
 def test_distance_two_cell_pair():
@@ -187,7 +198,7 @@ def test_distance_two_cell_pair():
     q = p.copy()
     q[0, 1] += 0.1
     q[1, 0] -= 0.1
-    assert preference_distance(p, q) == pytest.approx(np.sqrt(0.02), abs=1e-12)
+    assert distance(p, q) == pytest.approx(np.sqrt(0.02), abs=1e-12)
 
 
 def test_distance_matches_brute_force():
@@ -198,33 +209,28 @@ def test_distance_matches_brute_force():
     for i in range(4):
         for j in range(4):
             acc += abs(p[i, j] - q[i, j]) ** 2
-    assert preference_distance(p, q) == pytest.approx(np.sqrt(acc), abs=1e-14)
-
-
-def test_distance_dimension_mismatch():
-    with pytest.raises(ValueError, match="mismatch"):
-        preference_distance(pref_of(CYCLIC_3), pref_of([[1, 2], [1 / 2, 1]]))
+    assert distance(p, q) == pytest.approx(np.sqrt(acc), abs=1e-14)
 
 
 # -- repair step -------------------------------------------------------------
 
 def test_repair_sigma_endpoints():
     p = pref_of(CYCLIC_3)
-    pbar = consistent_reference(p)
-    np.testing.assert_allclose(repair_step(p, pbar, 0.0), p, atol=1e-12)
-    np.testing.assert_allclose(repair_step(p, pbar, 1.0), pbar, atol=1e-12)
+    pbar = reference_of(p)
+    np.testing.assert_allclose(_pull(p, pbar, 0.0), p, atol=1e-12)
+    np.testing.assert_allclose(_pull(p, pbar, 1.0), pbar, atol=1e-12)
 
 
 def test_repair_fixed_point_when_agreeing():
     p = np.array([[0.5, 0.7], [0.3, 0.5]])
-    np.testing.assert_allclose(repair_step(p, p, 0.5), p, atol=1e-12)
+    np.testing.assert_allclose(_pull(p, p, 0.5), p, atol=1e-12)
 
 
 def test_repair_stays_between_inputs():
     rng = np.random.default_rng(6)
     p = pref_of(perturbed_judgment(6, rng))
-    pbar = consistent_reference(p)
-    out = repair_step(p, pbar, 0.8)
+    pbar = reference_of(p)
+    out = _pull(p, pbar, 0.8)
     lo, hi = np.minimum(p, pbar), np.maximum(p, pbar)
     differs = np.abs(p - pbar) > 1e-12
     assert (out[differs] > lo[differs]).all() and (out[differs] < hi[differs]).all()
@@ -286,7 +292,7 @@ def test_repair_converges_within_budget_or_raises_with_its_trace(n, seed, wobble
 
 
 def _reference_per_call_indices(p):
-    # consistent_reference before the per-order chain plan, verbatim: it built its
+    # the consistent reference before the per-order chain plan, verbatim: it built its
     # index arrays on every call; kept as the oracle of the repair loop below
     p = np.asarray(p, dtype=float)
     n = p.shape[0]
@@ -399,9 +405,9 @@ def test_auto_correct_matches_the_per_call_index_loop(n, seed, kind, sigma, tau,
         # off-knot judgments stop at the scale check, so walk the relation itself
         # through the loop's reference and repair steps
         for _ in range(max_iter):
-            ref = consistent_reference(p)
+            ref = reference_of(p)
             assert np.array_equal(ref, _reference_per_call_indices(p))
-            p = repair_step(p, ref, sigma)
+            p = _pull(p, ref, sigma)
     got = _repair_outcome(auto_correct, j, cfg)
     want = _repair_outcome(_auto_correct_per_call_indices, j, cfg)
     assert got[0] == want[0] and got[2:] == want[2:]
