@@ -177,13 +177,20 @@ def test_one_pass_backward_matches_per_column_oracle(n, m, seed, order, digits, 
         assert want[m // 2][1] and want[m // 2][0].he == 0.0
 
 
-def test_one_pass_backward_clamps_he_and_rejects_short_columns():
+def test_one_pass_backward_clamps_he():
     steady = np.linspace(60.0, 90.0, CLAMPED.size)
     (clamped, flag), (other, _) = map(backward_cloud_per_column, (CLAMPED, steady))
     assert flag and clamped.he == 0.0
     assert indicator_cloud(np.column_stack([CLAMPED, steady])) == [clamped, other]
     assert indicator_cloud(CLAMPED) == [clamped]  # a 1-D array is one column
+
+
+def test_backward_constant_samples():
     assert indicator_cloud(np.full(20, 85.0)) == [CloudParams(85, 0, 0)]
+    assert indicator_cloud(np.full((20, 2), 85.0)) == [CloudParams(85, 0, 0)] * 2
+
+
+def test_backward_needs_ten_samples():
     for short in (np.arange(9.0), np.ones((9, 3))):
         with pytest.raises(ValueError, match="at least 10 samples, got 9"):
             indicator_cloud(short)
