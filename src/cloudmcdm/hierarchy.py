@@ -6,6 +6,9 @@ every downstream matrix: the leaves are the criteria in declared order, each
 expanded to its children in declared order. Judgment matrices follow the same
 order: the criterion matrix is in criteria order, and each criterion's matrix
 is in the order of that criterion's leaves.
+
+`parse_hierarchy` fixes the shape (unique ids, layers set by depth, agreeing parent
+and child links, one root that reaches every node); `validate_hierarchy` checks the rest.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ class IndicatorNode:
 
 @dataclass(frozen=True)
 class IndexHierarchy:
+    """A tree built by `parse_hierarchy` or `load_hierarchy`, which fix its shape."""
     nodes: dict[str, IndicatorNode]
     root_id: str
 
@@ -44,69 +48,21 @@ class IndexHierarchy:
 
 
 def validate_hierarchy(h: IndexHierarchy) -> list[str]:
-    """Check structural invariants; returns a list of violations (empty = ok).
-
-    Violations are data, not exceptions: callers decide whether to abort.
-    """
+    """What parsing leaves possible, nodes in pre-order first: a bad id, a leaf without
+    a benefit/cost direction, a non-leaf with one, an empty criterion, a root with no
+    criteria. The violations are data (empty = ok): callers decide whether to abort."""
     issues: list[str] = []
-    if h.root_id not in h.nodes:
-        return [f"root id {h.root_id!r} not among nodes"]
-    root = h.nodes[h.root_id]
-    if root.layer != "objective":
-        issues.append(f"root {root.id!r} has layer {root.layer!r}, expected 'objective'")
-
     for nid, node in h.nodes.items():
-        if nid != node.id:
-            issues.append(f"node keyed {nid!r} carries id {node.id!r}")
-        if not node.id.isascii() or len(node.id) > MAX_ID_LEN or not node.id:
-            issues.append(f"id {node.id!r} must be non-empty ASCII of at most {MAX_ID_LEN} chars")
-        if node.layer not in LAYERS:
-            issues.append(f"node {nid!r} has unknown layer {node.layer!r}")
-        for c in node.children:
-            if c not in h.nodes:
-                issues.append(f"node {nid!r} references missing child {c!r}")
-            elif h.nodes[c].parent_id != nid:
-                issues.append(f"child {c!r} does not point back to parent {nid!r}")
-        if node.layer == "indicator":
-            if node.children:
-                issues.append(f"indicator {nid!r} must be a leaf")
-            if node.direction not in DIRECTIONS:
-                issues.append(f"leaf {nid!r} missing benefit/cost direction")
-        else:
-            if node.direction is not None:
-                issues.append(f"non-leaf {nid!r} must not carry a direction")
-
-    roots = [n for n in h.nodes.values() if n.parent_id is None]
-    if len(roots) != 1 or (len(roots) == 1 and roots[0].id != h.root_id):
-        issues.append(f"expected exactly one root ({h.root_id!r}), found {[n.id for n in roots]}")
-
-    for c in h.nodes[h.root_id].children:
-        node = h.nodes.get(c)
-        if node is None:
-            continue
-        if node.layer != "criterion":
-            issues.append(f"child {c!r} of the root must be a criterion")
-        elif not node.children:
-            issues.append(f"empty criterion {c!r}")
-        else:
-            for leaf in node.children:
-                if leaf in h.nodes and h.nodes[leaf].layer != "indicator":
-                    issues.append(f"child {leaf!r} of criterion {c!r} must be an indicator")
-    if not h.nodes[h.root_id].children:
+        if not nid.isascii() or len(nid) > MAX_ID_LEN or not nid:
+            issues.append(f"id {nid!r} must be non-empty ASCII of at most {MAX_ID_LEN} chars")
+        if node.layer == "indicator" and node.direction not in DIRECTIONS:
+            issues.append(f"leaf {nid!r} missing benefit/cost direction")
+        elif node.layer != "indicator" and node.direction is not None:
+            issues.append(f"non-leaf {nid!r} must not carry a direction")
+    criteria = h.criterion_ids()
+    issues += [f"empty criterion {c!r}" for c in criteria if not h.nodes[c].children]
+    if not criteria:
         issues.append("root has no criteria")
-
-    # orphans: everything must be reachable from the root
-    reachable = set()
-    stack = [h.root_id]
-    while stack:
-        nid = stack.pop()
-        if nid in reachable or nid not in h.nodes:
-            continue
-        reachable.add(nid)
-        stack.extend(h.nodes[nid].children)
-    for nid in h.nodes:
-        if nid not in reachable:
-            issues.append(f"orphan node {nid!r}")
     return issues
 
 
@@ -138,14 +94,9 @@ def _parse_node(obj, parent_id: str | None, depth: int, nodes: dict[str, Indicat
         raise ValueError(f"duplicate node id {nid!r}")
     nodes[nid] = None  # reserve the pre-order slot; the node is built once its children are
     children = tuple(_parse_node(c, nid, depth + 1, nodes) for c in children_objs)
-    nodes[nid] = IndicatorNode(
-        id=nid,
-        label=str(obj.get("label", nid)),
-        layer=LAYERS[depth],
-        direction=obj.get("direction") if not children_objs else None,
-        parent_id=parent_id,
-        children=children,
-    )
+    nodes[nid] = IndicatorNode(id=nid, label=str(obj.get("label", nid)), layer=LAYERS[depth],
+                               direction=None if children_objs else obj.get("direction"),
+                               parent_id=parent_id, children=children)
     return nid
 
 

@@ -78,7 +78,7 @@ class PipelineConfig:
         """Load a config file; paths resolve relative to the file. A syntax
         error, a missing, mistyped or out-of-range value and an unknown key are
         ValueErrors naming the file and key; a `sigma` or `tau` argument out of
-        range is one naming neither.
+        range is one naming neither, and a negative `seed` one naming `--seed`.
 
         Seed precedence: explicit argument > config value > CLOUDMCDM_SEED
         environment variable > 0.
@@ -106,16 +106,23 @@ class PipelineConfig:
             return value(key, lambda v: getattr(RepairConfig(**{key: convert(v)}), key),
                          getattr(RepairConfig, key))
 
+        def natural(v):  # numpy's SeedSequence rejects a negative seed
+            if json_int(v) < 0:
+                raise ValueError(f"seed must be non-negative, got {v}")
+            return json_int(v)
+
         # the file's values are checked even when an argument overrides them
-        file_seed = value("seed", lambda v: v if v is None else json_int(v), None)
+        file_seed = value("seed", lambda v: v if v is None else natural(v), None)
         file_sigma = repair_value("sigma", json_float)
         file_tau = repair_value("tau", json_float)
+        if seed is not None and seed < 0:
+            raise ValueError(f"--seed: seed must be non-negative, got {seed}")
         if seed is None:
             seed = file_seed
         if seed is None:
             env = os.environ.get(ENV_SEED, "0")
             try:
-                seed = int(env)
+                seed = natural(int(env))
             except ValueError:
                 raise ValueError(f"environment variable {ENV_SEED}: invalid seed {env!r}") from None
         cfg = PipelineConfig(

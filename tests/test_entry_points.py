@@ -1,5 +1,5 @@
 """Entry points that code outside the package relies on: the names the
-benchmark tracer wraps, and the demo scripts."""
+benchmark tracer wraps, and the demo scripts, the dataset builder among them."""
 
 import os
 import shutil
@@ -28,19 +28,41 @@ def test_tracer_bindings_install_and_restore(monkeypatch):
     assert all(owner.__dict__[attr] is fn for (owner, attr, _, _), fn in zip(sites, originals))
 
 
+def _env() -> dict:
+    """The environment with this checkout's src first on PYTHONPATH."""
+    path = [str(REPO / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+
+
+def _run_demo(root, script: str) -> subprocess.CompletedProcess:
+    """Run a copy of demos/<script> at root/demos, where it reads and writes root/data/demo."""
+    (root / "demos").mkdir()
+    shutil.copy(REPO / "demos" / script, root / "demos" / script)
+    run = subprocess.run([sys.executable, str(root / "demos" / script)], cwd=root, env=_env(),
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    return run
+
+
 @pytest.mark.parametrize("script", ["repair_walkthrough.py", "weight_fusion.py", "cloud_grading.py"])
 def test_demo_script_runs(tmp_path, script):
     # copied with the demo data in the same layout, so the scripts find it and
     # write their output under tmp_path
-    (tmp_path / "demos").mkdir()
-    shutil.copy(REPO / "demos" / script, tmp_path / "demos" / script)
     shutil.copytree(DEMO, tmp_path / "data" / "demo")
-    path = [str(REPO / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-    run = subprocess.run([sys.executable, str(tmp_path / "demos" / script)], cwd=tmp_path, env=env,
-                         capture_output=True, text=True, timeout=120)
-    assert run.returncode == 0, run.stderr
-    assert run.stdout
+    assert _run_demo(tmp_path, script).stdout
+
+
+def test_demo_dataset_builder_reproduces_the_shipped_data(tmp_path):
+    # the builder writes every file of data/demo from its fixed seed, byte for byte
+    _run_demo(tmp_path, "build_demo_dataset.py")
+    built = tmp_path / "data" / "demo"
+
+    def files(root):
+        return sorted(p.relative_to(root) for p in root.rglob("*") if p.is_file())
+
+    assert files(built) == files(DEMO)
+    for rel in files(DEMO):
+        assert (built / rel).read_bytes() == (DEMO / rel).read_bytes(), rel
 
 
 def test_orjson_loads_only_with_the_droplet_writer():
@@ -53,7 +75,5 @@ def test_orjson_loads_only_with_the_droplet_writer():
             "    for cmd in ('validate', 'weights'):\n"
             f"        assert cli.main([cmd, {str(DEMO / 'config_before.json')!r}]) == 0\n"
             "        assert 'orjson' not in sys.modules, cmd\n")
-    path = [str(REPO / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    run = subprocess.run([sys.executable, "-c", code], env=_env(), capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr

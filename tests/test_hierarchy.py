@@ -4,8 +4,8 @@ from hypothesis import strategies as st
 
 from cloudmcdm.hierarchy import (
     DIRECTIONS,
-    IndexHierarchy,
-    IndicatorNode,
+    LAYERS,
+    MAX_ID_LEN,
     leaf_indicators,
     load_hierarchy,
     parse_hierarchy,
@@ -43,15 +43,6 @@ def test_leaf_without_direction_is_violation():
         "root": {"id": "A", "children": [{"id": "B", "children": [{"id": "B1"}]}]}
     })
     assert any("direction" in v for v in validate_hierarchy(h))
-
-
-def test_orphan_detected():
-    h = minimal_tree()
-    nodes = dict(h.nodes)
-    nodes["X"] = IndicatorNode(id="X", label="x", layer="indicator",
-                               direction="benefit", parent_id="A")
-    broken = IndexHierarchy(nodes=nodes, root_id=h.root_id)
-    assert any("orphan" in v for v in validate_hierarchy(broken))
 
 
 def test_duplicate_id_rejected_at_parse():
@@ -134,3 +125,104 @@ def test_repeated_id_anywhere_is_rejected(case, data):
     ids[second] = ids[first]
     with pytest.raises(ValueError, match="duplicate"):
         parse_hierarchy(nested(shape, ids, directions))
+
+
+# what a document can still get wrong once it parses, each applied to a drawn node
+DEFECTS = ("no-criteria", "childless-criterion", "criterion-direction", "no-direction", "bad-direction",
+           "non-ascii-id", "empty-id", "long-id")
+
+
+@st.composite
+def defective_documents(draw):
+    """(document, expected violations): a `documents()` tree with a drawn subset of DEFECTS injected."""
+    doc = nested(*draw(documents()))
+    root = doc["root"]
+    flags = {}  # id() of a node dict -> the defects injected there: "id", "direction", "empty"
+
+    def flag(node, what):
+        flags.setdefault(id(node), set()).add(what)
+
+    defects = draw(st.lists(st.sampled_from(DEFECTS), unique=True))
+    if "no-criteria" in defects:
+        root["children"] = []
+        if draw(st.booleans()):  # a childless root may then carry a direction too
+            root["direction"] = draw(st.sampled_from(DIRECTIONS))
+            flag(root, "direction")
+    # parsing drops the direction of a node with children, so only a childless criterion keeps one
+    for defect in ("childless-criterion", "criterion-direction"):
+        if defect in defects and root["children"]:
+            crit = draw(st.sampled_from(root["children"]))
+            if draw(st.booleans()):
+                crit["children"] = []
+            else:
+                crit.pop("children", None)
+            flag(crit, "empty")
+            if defect == "criterion-direction":
+                crit["direction"] = draw(st.sampled_from(DIRECTIONS))
+                flag(crit, "direction")
+    crits = root["children"]
+    walk = [(0, root)]  # (depth, node) in pre-order
+    for c in crits:
+        walk += [(1, c)] + [(2, leaf) for leaf in c.get("children", [])]
+    leaves = [node for depth, node in walk if depth == 2]
+    if "no-direction" in defects and leaves:
+        leaf = draw(st.sampled_from(leaves))
+        del leaf["direction"]
+        flag(leaf, "direction")
+    if "bad-direction" in defects and leaves:
+        leaf = draw(st.sampled_from(leaves))
+        leaf["direction"] = draw(st.sampled_from(["up", "Benefit", "", None, ["cost"], 1]))
+        flag(leaf, "direction")
+    if draw(st.booleans()):  # the longest id allowed is no defect
+        node = draw(st.sampled_from(walk))[1]
+        node["id"] = node["id"].ljust(MAX_ID_LEN, "x")
+    for defect, rename in (("non-ascii-id", lambda i: i + "\u00e9"), ("empty-id", lambda i: ""),
+                           ("long-id", lambda i: i.ljust(MAX_ID_LEN + 1, "x"))):
+        if defect in defects:
+            node = draw(st.sampled_from(walk))[1]
+            node["id"] = rename(node["id"])
+            flag(node, "id")
+
+    expected = []
+    for depth, node in walk:
+        if "id" in flags.get(id(node), ()):
+            expected.append(f"id {node['id']!r} must be non-empty ASCII of at most {MAX_ID_LEN} chars")
+        if "direction" in flags.get(id(node), ()):
+            expected.append(f"leaf {node['id']!r} missing benefit/cost direction" if depth == 2
+                            else f"non-leaf {node['id']!r} must not carry a direction")
+    expected += [f"empty criterion {c['id']!r}" for c in crits if "empty" in flags.get(id(c), ())]
+    if not crits:
+        expected.append("root has no criteria")
+    return doc, expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(defective_documents())
+def test_parsed_tree_keeps_its_shape(case):
+    # the graph invariants that parsing guarantees and validate_hierarchy leaves unchecked
+    h = parse_hierarchy(case[0])
+    nodes = h.nodes
+    assert all(nid == node.id for nid, node in nodes.items())
+
+    def depth(node):
+        return 0 if node.parent_id is None else 1 + depth(nodes[node.parent_id])
+
+    assert all(node.layer == LAYERS[depth(node)] for node in nodes.values())
+    for nid, node in nodes.items():
+        assert all(nodes[c].parent_id == nid for c in node.children)
+        assert node.parent_id is None or nid in nodes[node.parent_id].children
+        assert node.layer != "indicator" or node.children == ()
+    assert [nid for nid, node in nodes.items() if node.parent_id is None] == [h.root_id]
+    reachable, stack = set(), [h.root_id]
+    while stack:
+        nid = stack.pop()
+        reachable.add(nid)
+        stack.extend(nodes[nid].children)
+    assert reachable == set(nodes)
+
+
+@settings(max_examples=300, deadline=None)
+@given(defective_documents())
+def test_validate_reports_exactly_the_injected_defects(case):
+    doc, expected = case
+    assert validate_hierarchy(parse_hierarchy(doc)) == expected

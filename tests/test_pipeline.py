@@ -730,6 +730,31 @@ def test_malformed_seed_env_exits_2_naming_it(tmp_path, monkeypatch, capsys):
     assert PipelineConfig.from_json(cfg, seed=3).seed == 3
 
 
+@pytest.mark.parametrize("seed_key, env, flags, message", [
+    pytest.param(-1, None, [], "{cfg}: invalid value -1 for key 'seed': seed must be non-negative, got -1",
+                 id="config"),
+    pytest.param(None, "-1", [], "environment variable CLOUDMCDM_SEED: invalid seed '-1'", id="env"),
+    pytest.param(None, None, ["--seed", "-1"], "--seed: seed must be non-negative, got -1", id="flag"),
+])
+def test_negative_seed_exits_2_naming_its_source_before_writing(tmp_path, monkeypatch, capsys,
+                                                                seed_key, env, flags, message):
+    # numpy's SeedSequence rejects a negative seed only when droplets are drawn,
+    # after report.json is written; the config load must reject it first
+    _copy_demo(tmp_path)
+    cfg = tmp_path / "config_before.json"
+    doc = json.loads(cfg.read_text())
+    doc.pop("seed")
+    cfg.write_text(json.dumps(doc if seed_key is None else dict(doc, seed=seed_key)))
+    monkeypatch.delenv("CLOUDMCDM_SEED", raising=False)
+    if env is not None:
+        monkeypatch.setenv("CLOUDMCDM_SEED", env)
+    out = tmp_path / "out"
+    for argv in (["evaluate", str(cfg), "--out", str(out)], ["validate", str(cfg)]):
+        assert cli_main([*flags, *argv]) == 2
+        assert capsys.readouterr().err == f"error: {message.format(cfg=cfg)}\n"
+    assert not (out / "report.json").exists()
+
+
 def test_missing_config_key(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"scenario": "x"}))
