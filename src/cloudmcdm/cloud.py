@@ -87,7 +87,10 @@ class GradeScheme:
         return np.array([(lo + hi) / 2.0 for _, lo, hi in self.bands])
 
     def clouds(self) -> list[tuple[str, CloudParams]]:
-        return [(label, grade_cloud((lo, hi), self.he_ratio)) for label, lo, hi in self.bands]
+        """Standard cloud of each band: Ex = midpoint, En = width / 6, He = he_ratio * En."""
+        ens = [(hi - lo) / 6.0 for _, lo, hi in self.bands]
+        return [(label, CloudParams((lo + hi) / 2.0, en, self.he_ratio * en))
+                for (label, lo, hi), en in zip(self.bands, ens)]
 
 
 DEFAULT_SCHEME = GradeScheme(
@@ -102,7 +105,7 @@ def load_scheme(path: str | Path) -> GradeScheme:
     bands = tuple(tuple(json_value(path, band, key, convert, where=f"bands[{k}]")
                         for key, convert in (("label", str), ("lower", json_float), ("upper", json_float)))
                   for k, band in enumerate(json_value(path, doc, "bands", list)))
-    he_ratio = json_value(path, doc, "he_ratio", json_float, 0.1)
+    he_ratio = json_value(path, doc, "he_ratio", json_float, GradeScheme.he_ratio)
     try:
         return GradeScheme(bands=bands, he_ratio=he_ratio)
     except ValueError as e:
@@ -167,15 +170,6 @@ def indicator_cloud(ratings: np.ndarray) -> list[CloudParams]:
     s2 = dev.sum(axis=0) / (n - 1)
     return [CloudParams(e, s, math.sqrt(max(0.0, v - s**2)))
             for e, s, v in zip(ex.tolist(), en.tolist(), s2.tolist())]
-
-
-def grade_cloud(band: tuple[float, float], he_ratio: float = 0.1) -> CloudParams:
-    """Standard cloud of a score band: Ex = midpoint, En = width/6, He = he_ratio * En."""
-    lo, hi = band
-    if lo >= hi:
-        raise ValueError(f"band lower bound {lo} must be below upper bound {hi}")
-    en = (hi - lo) / 6.0
-    return CloudParams(ex=(lo + hi) / 2.0, en=en, he=he_ratio * en)
 
 
 AGGREGATIONS = ("linear", "quadratic")

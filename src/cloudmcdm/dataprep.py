@@ -7,7 +7,6 @@ import json
 import math
 from dataclasses import MISSING, dataclass
 from pathlib import Path
-from typing import Mapping
 
 import numpy as np
 
@@ -30,36 +29,30 @@ class DataMatrix:
             )
 
 
-def min_max_normalize(d: DataMatrix, directions: Mapping[str, str]) -> DataMatrix:
-    """Column-wise min-max scaling to [0,1].
+def min_max_normalize(d: DataMatrix, cost: list[bool] | np.ndarray) -> DataMatrix:
+    """Column-wise min-max scaling to [0,1], in the layout of `d.values`.
 
-    benefit: (x - min) / (max - min); cost: (max - x) / (max - min).
+    `cost` holds one bool per column (`IndexHierarchy.cost_leaves`): False is a
+    benefit column, (x - min) / (max - min); True a cost column, (max - x) / (max - min).
     Constant columns map to 0.5 everywhere, so downstream entropy weighting
     assigns them zero discriminating power without a division by zero.
     """
     x = d.values
+    cost = np.asarray(cost)
+    if cost.dtype != bool or cost.shape != (x.shape[1],):
+        raise ValueError(f"cost must be one bool per column ({x.shape[1]}), got {cost.dtype} {cost.shape}")
     if not np.isfinite(x).all():
         bad = np.argwhere(~np.isfinite(x))[0]
         raise ValueError(
             f"non-finite value at object {d.object_ids[bad[0]]!r}, "
             f"indicator {d.indicator_ids[bad[1]]!r}"
         )
-    out = np.empty_like(x)
-    for j, ind in enumerate(d.indicator_ids):
-        try:
-            direction = directions[ind]
-        except KeyError:
-            raise KeyError(f"no direction given for indicator {ind!r}") from None
-        col = x[:, j]
-        lo, hi = col.min(), col.max()
-        if hi == lo:
-            out[:, j] = 0.5
-        elif direction == "benefit":
-            out[:, j] = (col - lo) / (hi - lo)
-        elif direction == "cost":
-            out[:, j] = (hi - col) / (hi - lo)
-        else:
-            raise ValueError(f"indicator {ind!r}: direction must be 'benefit' or 'cost', got {direction!r}")
+    lo, hi = x.min(axis=0), x.max(axis=0)
+    out = x - lo
+    np.subtract(hi, x, out=out, where=cost)
+    with np.errstate(invalid="ignore"):  # a constant column is 0 / 0 here
+        out /= hi - lo
+    out[:, hi == lo] = 0.5
     return DataMatrix(d.object_ids, d.indicator_ids, out)
 
 

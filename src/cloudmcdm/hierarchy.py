@@ -7,8 +7,9 @@ expanded to its children in declared order. Judgment matrices follow the same
 order: the criterion matrix is in criteria order, and each criterion's matrix
 is in the order of that criterion's leaves.
 
-`parse_hierarchy` fixes the shape (unique ids, layers set by depth, agreeing parent
-and child links, one root that reaches every node); `validate_hierarchy` checks the rest.
+`parse_hierarchy` fixes the shape (unique string ids, layers set by depth, agreeing
+parent and child links, one root that reaches every node) and keeps each id and
+direction as written; `validate_hierarchy` judges them.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ class IndicatorNode:
     id: str
     label: str
     layer: str
-    direction: str | None = None  # leaves only
+    direction: str | None = None  # as written; validate_hierarchy allows one on leaves only
     parent_id: str | None = None
     children: tuple[str, ...] = ()
 
@@ -42,9 +43,9 @@ class IndexHierarchy:
     def criterion_ids(self) -> list[str]:
         return list(self.nodes[self.root_id].children)
 
-    def directions(self) -> dict[str, str]:
-        """Map each leaf id to its benefit/cost direction."""
-        return {i: self.nodes[i].direction for i in leaf_indicators(self)}
+    def cost_leaves(self) -> list[bool]:
+        """One bool per leaf, in leaf order: True for a cost leaf, False for a benefit one."""
+        return [self.nodes[i].direction == "cost" for i in leaf_indicators(self)]
 
 
 def validate_hierarchy(h: IndexHierarchy) -> list[str]:
@@ -81,10 +82,10 @@ def leaf_indicators(h: IndexHierarchy, criterion_id: str | None = None) -> list[
 
 
 def _parse_node(obj, parent_id: str | None, depth: int, nodes: dict[str, IndicatorNode]) -> str:
-    if not isinstance(obj, dict) or "id" not in obj:
+    if not isinstance(obj, dict) or not isinstance(obj.get("id"), str):
         where = "the root" if parent_id is None else f"a child of {parent_id!r}"
-        raise ValueError(f"{where} must be a JSON object with an 'id', got {obj!r:.80}")
-    nid = str(obj["id"])
+        raise ValueError(f"{where} must be a JSON object with a string 'id', got {obj!r:.80}")
+    nid = obj["id"]
     children_objs = obj.get("children", [])
     if not isinstance(children_objs, list):
         raise ValueError(f"node {nid!r}: 'children' must be a list, got {children_objs!r}")
@@ -95,7 +96,7 @@ def _parse_node(obj, parent_id: str | None, depth: int, nodes: dict[str, Indicat
     nodes[nid] = None  # reserve the pre-order slot; the node is built once its children are
     children = tuple(_parse_node(c, nid, depth + 1, nodes) for c in children_objs)
     nodes[nid] = IndicatorNode(id=nid, label=str(obj.get("label", nid)), layer=LAYERS[depth],
-                               direction=None if children_objs else obj.get("direction"),
+                               direction=obj.get("direction"),
                                parent_id=parent_id, children=children)
     return nid
 

@@ -134,8 +134,8 @@ class PipelineConfig:
             ratings=value("ratings", base.joinpath),
             scheme=value("scheme", base.joinpath) if "scheme" in doc else None,
             seed=int(seed),
-            droplets=value("droplets", json_int, 20_000),
-            aggregation=value("aggregation", aggregation, "linear"),
+            droplets=value("droplets", json_int, PipelineConfig.droplets),
+            aggregation=value("aggregation", aggregation, PipelineConfig.aggregation),
             repair=RepairConfig(sigma=file_sigma if sigma is None else float(sigma),
                                 tau=file_tau if tau is None else float(tau),
                                 max_iter=repair_value("max_iter", json_int)),
@@ -247,7 +247,7 @@ def load_inputs(cfg: PipelineConfig) -> PipelineInputs:
         raise ValueError(f"{cfg.data}: entropy weighting needs at least {MIN_OBJECTS} evaluation objects, "
                          f"got {len(data.object_ids)}")
     try:
-        z = min_max_normalize(data, h.directions())
+        z = min_max_normalize(data, h.cost_leaves())
     except ValueError as e:  # a non-finite cell
         raise ValueError(f"{cfg.data}: {e}") from None
     ratings = load_data_csv(cfg.ratings, leaves)

@@ -17,7 +17,6 @@ from cloudmcdm.cloud import (
     assign_grade,
     cloud_similarity,
     forward_cloud,
-    grade_cloud,
     grade_clouds,
     indicator_cloud,
 )
@@ -82,7 +81,7 @@ def reference_assign_grade(c, scheme, n, seed):
 # En = 0, He = 0, He >> En (resampling reads past 2n normals), heavy truncation,
 # a demo-like comprehensive cloud and a grade cloud
 ORACLE_CLOUDS = [CloudParams(70, 0, 0), CloudParams(70, 4, 0), CloudParams(60, 0.5, 5),
-                 CloudParams(50, 1, 3), CloudParams(83.118, 6.931, 3.08), grade_cloud((75, 85))]
+                 CloudParams(50, 1, 3), CloudParams(83.118, 6.931, 3.08), dict(DEFAULT_SCHEME.clouds())["good"]]
 # plus near-total truncation at En' > 0 and a cloud whose He is close to its En
 HARD_CLOUDS = ORACLE_CLOUDS + [CloudParams(10, 0.01, 3), CloudParams(99, 20, 19)]
 # wide, thick grade clouds: the quadrature's hardest case
@@ -229,11 +228,15 @@ def test_bimodal_ratings_inflate_entropy():
 # -- grade clouds and schemes ------------------------------------------------
 
 def test_grade_cloud_construction():
-    c = grade_cloud((80, 90), 0.1)
+    scheme = GradeScheme(bands=(("low", 0.0, 80.0), ("mid", 80.0, 90.0), ("top", 90.0, 100.0)), he_ratio=0.1)
+    assert [label for label, _ in scheme.clouds()] == ["low", "mid", "top"]
+    c = dict(scheme.clouds())["mid"]
     assert c.ex == 85.0
     assert c.en == pytest.approx(10 / 6, abs=1e-4)
     assert c.he == pytest.approx(1 / 6, abs=1e-4)
-    assert grade_cloud((0, 60)).ex == 30.0 and grade_cloud((0, 60)).en == 10.0
+    assert c.he == 0.1 * c.en  # He from the En just computed, bit for bit
+    poor = dict(DEFAULT_SCHEME.clouds())["poor"]
+    assert poor.ex == 30.0 and poor.en == 10.0
 
 
 def test_default_scheme_monotone_centers():

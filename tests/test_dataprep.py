@@ -17,33 +17,36 @@ def matrix(cols, values):
 
 
 def test_benefit_endpoints():
-    z = min_max_normalize(matrix(["a"], [[2], [4]]), {"a": "benefit"})
+    z = min_max_normalize(matrix(["a"], [[2], [4]]), [False])
     assert z.values[:, 0].tolist() == [0.0, 1.0]
 
 
 def test_cost_reversal():
-    z = min_max_normalize(matrix(["a"], [[2], [4]]), {"a": "cost"})
+    z = min_max_normalize(matrix(["a"], [[2], [4]]), [True])
     assert z.values[:, 0].tolist() == [1.0, 0.0]
 
 
 def test_constant_column_maps_to_half():
-    z = min_max_normalize(matrix(["a"], [[5], [5], [5]]), {"a": "cost"})
+    z = min_max_normalize(matrix(["a"], [[5], [5], [5]]), [True])
     assert z.values[:, 0].tolist() == [0.5, 0.5, 0.5]
 
 
 def test_non_finite_rejected():
     with pytest.raises(ValueError, match="non-finite"):
-        min_max_normalize(matrix(["a"], [[1], [np.nan]]), {"a": "benefit"})
+        min_max_normalize(matrix(["a"], [[1], [np.nan]]), [False])
 
 
-def test_missing_direction_rejected():
-    with pytest.raises(KeyError, match="direction"):
-        min_max_normalize(matrix(["a"], [[1], [2]]), {})
+@pytest.mark.parametrize("cost", [{"a": "cost", "b": "cost"}, "cost", [True], [True, False, True], [1, 0]],
+                         ids=["dict", "string", "short", "long", "ints"])
+def test_cost_mask_must_be_one_bool_per_column(cost):
+    # a direction dict would read as truthy, so each column would silently be a cost column
+    with pytest.raises(ValueError, match=r"cost must be one bool per column \(2\)"):
+        min_max_normalize(matrix(["a", "b"], [[1, 2], [3, 5]]), cost)
 
 
 def test_idempotent_on_unit_benefit_columns():
     d = matrix(["a", "b"], [[0.0, 1.0], [1.0, 0.2], [0.3, 0.0]])
-    dirs = {"a": "benefit", "b": "benefit"}
+    dirs = [False, False]
     once = min_max_normalize(d, dirs)
     twice = min_max_normalize(once, dirs)
     np.testing.assert_allclose(once.values, twice.values)
@@ -53,7 +56,7 @@ def test_affine_invariance_benefit():
     rng = np.random.default_rng(1)
     x = rng.uniform(-5, 5, (6, 3))
     d = matrix(["a", "b", "c"], x)
-    dirs = {c: "benefit" for c in "abc"}
+    dirs = [False] * 3
     shifted = matrix(["a", "b", "c"], 3.7 * x + 11.0)
     np.testing.assert_allclose(min_max_normalize(d, dirs).values,
                                min_max_normalize(shifted, dirs).values, atol=1e-12)
@@ -62,10 +65,41 @@ def test_affine_invariance_benefit():
 def test_output_bounds():
     rng = np.random.default_rng(2)
     d = matrix(["a", "b"], rng.uniform(0, 100, (9, 2)))
-    z = min_max_normalize(d, {"a": "benefit", "b": "cost"})
+    z = min_max_normalize(d, [False, True])
     assert z.values.min() >= 0 and z.values.max() <= 1
     np.testing.assert_allclose(z.values.min(axis=0), 0.0)
     np.testing.assert_allclose(z.values.max(axis=0), 1.0)
+
+
+def reference_min_max_normalize(d: DataMatrix, cost) -> DataMatrix:
+    """The per-column loop that the one-pass normalization must agree with bit for bit."""
+    x = d.values
+    out = np.empty_like(x)
+    for j in range(x.shape[1]):
+        col = x[:, j]
+        lo, hi = col.min(), col.max()
+        if hi == lo:
+            out[:, j] = 0.5
+        elif cost[j]:
+            out[:, j] = (hi - col) / (hi - lo)
+        else:
+            out[:, j] = (col - lo) / (hi - lo)
+    return DataMatrix(d.object_ids, d.indicator_ids, out)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 9), st.integers(0, 2**32 - 1))
+def test_one_pass_normalize_matches_per_column_oracle(m, n, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-1e3, 1e3, (m, n)) * 10.0 ** rng.integers(-6, 7, n)
+    x[:, rng.random(n) < 0.3] = rng.uniform(-5, 5)  # constant columns
+    cost = (rng.random(n) < 0.5).tolist()
+    d = matrix([f"c{j}" for j in range(n)], np.asfortranarray(x))  # the layout load_data_csv returns
+    with np.errstate(all="raise"):  # the 0 / 0 of a constant column must stay silent
+        got = min_max_normalize(d, cost).values
+    want = reference_min_max_normalize(d, cost).values
+    assert got.tobytes(order="A") == want.tobytes(order="A")
+    assert got.flags.f_contiguous
 
 
 def test_csv_loading_and_reorder():

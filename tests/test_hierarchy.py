@@ -52,6 +52,18 @@ def test_duplicate_id_rejected_at_parse():
         ]}})
 
 
+@pytest.mark.parametrize("nid", [5, None, True, ["B"], 1.5], ids=["int", "null", "bool", "list", "float"])
+@pytest.mark.parametrize("where", ["root", "criterion", "leaf"])
+def test_id_that_is_not_a_json_string_rejected_at_parse(nid, where):
+    leaf = {"id": "B1", "direction": "benefit"}
+    crit = {"id": "B", "children": [leaf]}
+    root = {"id": "A", "children": [crit]}
+    {"root": root, "criterion": crit, "leaf": leaf}[where]["id"] = nid
+    parent = {"root": "the root", "criterion": "a child of 'A'", "leaf": "a child of 'B'"}[where]
+    with pytest.raises(ValueError, match=f"^{parent} must be a JSON object with a string 'id', got "):
+        parse_hierarchy({"root": root})
+
+
 def test_deep_nesting_rejected():
     with pytest.raises(ValueError, match="three layers"):
         parse_hierarchy({"root": {"id": "A", "children": [
@@ -128,8 +140,8 @@ def test_repeated_id_anywhere_is_rejected(case, data):
 
 
 # what a document can still get wrong once it parses, each applied to a drawn node
-DEFECTS = ("no-criteria", "childless-criterion", "criterion-direction", "no-direction", "bad-direction",
-           "non-ascii-id", "empty-id", "long-id")
+DEFECTS = ("no-criteria", "root-direction", "childless-criterion", "criterion-direction", "no-direction",
+           "bad-direction", "non-ascii-id", "empty-id", "long-id")
 
 
 @st.composite
@@ -145,21 +157,21 @@ def defective_documents(draw):
     defects = draw(st.lists(st.sampled_from(DEFECTS), unique=True))
     if "no-criteria" in defects:
         root["children"] = []
-        if draw(st.booleans()):  # a childless root may then carry a direction too
-            root["direction"] = draw(st.sampled_from(DIRECTIONS))
-            flag(root, "direction")
-    # parsing drops the direction of a node with children, so only a childless criterion keeps one
-    for defect in ("childless-criterion", "criterion-direction"):
-        if defect in defects and root["children"]:
-            crit = draw(st.sampled_from(root["children"]))
-            if draw(st.booleans()):
-                crit["children"] = []
-            else:
-                crit.pop("children", None)
-            flag(crit, "empty")
-            if defect == "criterion-direction":
-                crit["direction"] = draw(st.sampled_from(DIRECTIONS))
-                flag(crit, "direction")
+    # parsing keeps a non-leaf's direction whether or not the node has children
+    if "root-direction" in defects:
+        root["direction"] = draw(st.sampled_from(DIRECTIONS))
+        flag(root, "direction")
+    if "childless-criterion" in defects and root["children"]:
+        crit = draw(st.sampled_from(root["children"]))
+        if draw(st.booleans()):
+            crit["children"] = []
+        else:
+            crit.pop("children", None)
+        flag(crit, "empty")
+    if "criterion-direction" in defects and root["children"]:
+        crit = draw(st.sampled_from(root["children"]))
+        crit["direction"] = draw(st.sampled_from(DIRECTIONS))
+        flag(crit, "direction")
     crits = root["children"]
     walk = [(0, root)]  # (depth, node) in pre-order
     for c in crits:

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from cloudmcdm import __version__, hierarchy
 from cloudmcdm.cli import main as cli_main
 from cloudmcdm.cloud import DEFAULT_SCHEME, forward_cloud, indicator_cloud
-from cloudmcdm.dataprep import DataMatrix, min_max_normalize
+from cloudmcdm.dataprep import DataMatrix, load_data_csv, min_max_normalize
 from cloudmcdm.ewm import WeightVector
 from cloudmcdm.hierarchy import leaf_indicators, parse_hierarchy
 from cloudmcdm.pipeline import (
@@ -205,7 +205,7 @@ def weight_inputs(draw):
     data = DataMatrix(tuple(f"o{i}" for i in range(m)), tuple(ids), np.array(raw, dtype=float))
     subjective = {h.root_id: _simplex(draw, h.criterion_ids())}
     subjective.update((cid, _simplex(draw, leaf_indicators(h, cid))) for cid in h.criterion_ids())
-    return PipelineInputs(h, ids, data, min_max_normalize(data, h.directions()), None, DEFAULT_SCHEME, subjective)
+    return PipelineInputs(h, ids, data, min_max_normalize(data, h.cost_leaves()), None, DEFAULT_SCHEME, subjective)
 
 
 @settings(max_examples=100, deadline=None)
@@ -259,6 +259,57 @@ def test_grades_do_not_depend_on_seed_or_droplets(tmp_path, capsys):
         assert cloud["similarity"] == b["criterion_clouds"][cid]["similarity"]
 
 
+@pytest.mark.parametrize("scenario, grade", [("before", "good"), ("after", "excellent")])
+def test_quadratic_aggregation_end_to_end(tmp_path, capsys, report_before, report_after, scenario, grade):
+    _copy_demo(tmp_path)
+    cfg = tmp_path / f"config_{scenario}.json"
+    cfg.write_text(json.dumps(dict(json.loads(cfg.read_text()), aggregation="quadratic")))
+    quadratic = run_pipeline(cfg, tmp_path / "a")
+    assert cli_main(["evaluate", str(cfg), "--out", str(tmp_path / "b")]) == 0
+    for name in ("report.json", "droplets.csv", "diagram.svg"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
+    linear = {"before": report_before, "after": report_after}[scenario]
+    assert (quadratic.aggregation, linear.aggregation) == ("quadratic", "linear")
+    # the weighted mean of Ex is the same sum either way; a root-sum-square of weighted
+    # nonnegative terms is no larger than their sum, and smaller once two are positive
+    assert quadratic.comprehensive_cloud["ex"] == linear.comprehensive_cloud["ex"]
+    pairs = [(quadratic.comprehensive_cloud, linear.comprehensive_cloud)] + [
+        (quadratic.criterion_clouds[cid], cloud) for cid, cloud in linear.criterion_clouds.items()]
+    for q, lin in pairs:
+        assert q["en"] <= lin["en"] and q["he"] <= lin["he"]
+    assert quadratic.comprehensive_cloud["en"] < linear.comprehensive_cloud["en"]
+    assert quadratic.grade == grade
+
+
+def _one_leaf_C4(root: Path) -> None:
+    """Keep only C41 under C4, and drop the other C4 leaves' columns and C4's matrix."""
+    dropped = {"C42", "C43", "C44", "C45"}
+    _edit_json("hierarchy.json", lambda doc: doc["root"]["children"][3].update(
+        children=doc["root"]["children"][3]["children"][:1]))(root)
+    for name in ("indicators.csv", "ratings_before.csv", "ratings_after.csv"):
+        _drop_columns(root / name, dropped)
+    for name in ("config_before.json", "config_after.json"):
+        _edit_json(name, lambda doc: doc["indicator_matrices"].pop("C4"))(root)
+
+
+@pytest.mark.parametrize("scenario", ["before", "after"])
+def test_one_leaf_criterion_end_to_end(tmp_path, capsys, scenario):
+    # a group of one needs no judgment matrix and weighs its leaf 1
+    _copy_demo(tmp_path)
+    _one_leaf_C4(tmp_path)
+    cfg = tmp_path / f"config_{scenario}.json"
+    config, out = str(cfg), str(tmp_path / "out")
+    for argv in (["validate", config], ["weights", config], ["evaluate", config, "--out", out]):
+        assert cli_main(argv) == 0, argv
+    report = run_pipeline(cfg)
+    assert report.weights["indicator_local_combined"]["C4"] == {"C41": 1.0}
+    assert "C42" not in report.weights["indicator_global"]["combined"]
+    ratings = load_data_csv(tmp_path / f"ratings_{scenario}.csv")
+    c41 = indicator_cloud(ratings.values[:, ratings.indicator_ids.index("C41")])[0]
+    c4 = report.criterion_clouds["C4"]
+    assert (c4["ex"], c4["en"], c4["he"]) == (c41.ex, c41.en, c41.he)
+
+
 def _copy_demo(dst: Path) -> None:
     for src in DEMO.iterdir():
         if src.is_file():
@@ -274,6 +325,18 @@ def _set_csv_cell(path: Path, row: int, col: int, value: str) -> None:
     cells[col] = value
     lines[row] = ",".join(cells)
     path.write_text("\n".join(lines) + "\n")
+
+
+def _append_columns(path: Path, ids: list[str], value: str) -> None:
+    lines = path.read_text().splitlines()
+    lines = [",".join([lines[0], *ids])] + [",".join([line, *[value] * len(ids)]) for line in lines[1:]]
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _drop_columns(path: Path, ids: set[str]) -> None:
+    rows = [line.split(",") for line in path.read_text().splitlines()]
+    keep = [k for k, c in enumerate(rows[0]) if c not in ids]
+    path.write_text("".join(",".join(row[k] for k in keep) + "\n" for row in rows))
 
 
 def test_off_scale_judgment_entry_exits_2(tmp_path, capsys):
@@ -438,10 +501,7 @@ def test_compare_names_a_malformed_report_and_key(tmp_path, capsys, edit, messag
 def test_duplicated_indicator_column_exits_2(tmp_path, capsys):
     # a second C11 column full of 999 used to be dropped without a word
     _copy_demo(tmp_path)
-    path = tmp_path / "indicators.csv"
-    lines = path.read_text().splitlines()
-    lines = [lines[0] + ",C11"] + [line + ",999" for line in lines[1:]]
-    path.write_text("\n".join(lines) + "\n")
+    _append_columns(tmp_path / "indicators.csv", ["C11"], "999")
     rc = cli_main(["weights", str(tmp_path / "config_before.json")])
     assert rc == 2
     err = capsys.readouterr().err
@@ -476,6 +536,10 @@ def _empty_first_criterion(doc: dict) -> None:
     doc["root"]["children"][0]["children"] = []
 
 
+def _set_C41_id(nid):
+    return _edit_json("hierarchy.json", lambda doc: doc["root"]["children"][3]["children"][0].update(id=nid))
+
+
 def _keep_lines(name: str, n: int):
     def apply(root: Path) -> None:
         path = root / name
@@ -496,10 +560,7 @@ def _sixteen_leaves_in_C1(root: Path) -> None:
     _edit_json("hierarchy.json", lambda doc: doc["root"]["children"][0]["children"].extend(
         {"id": i, "direction": "benefit"} for i in new))(root)
     for name in ("indicators.csv", "ratings_before.csv"):
-        path = root / name
-        lines = path.read_text().splitlines()
-        lines = [lines[0] + "," + ",".join(new)] + [line + ",50" * len(new) for line in lines[1:]]
-        path.write_text("\n".join(lines) + "\n")
+        _append_columns(root / name, new, "50")
     (root / "judgment/C1.csv").write_text("\n".join([",".join(["1"] * 16)] * 16) + "\n")
 
 
@@ -535,6 +596,13 @@ BROKEN_INPUTS = [
                  id="hierarchy-non-ascii-id"),
     pytest.param(_edit_json("hierarchy.json", lambda doc: doc["root"].update(children=[])), [], "hierarchy.json",
                  "invalid hierarchy: root has no criteria", id="hierarchy-no-criteria"),
+    # parsing keeps what the file says: a direction on a criterion with leaves, an id of any JSON type
+    pytest.param(_edit_json("hierarchy.json", lambda doc: doc["root"]["children"][3].update(direction="cost")), [],
+                 "hierarchy.json", "invalid hierarchy: non-leaf 'C4' must not carry a direction",
+                 id="hierarchy-directed-criterion"),
+    *[pytest.param(_set_C41_id(nid), [], "hierarchy.json",
+                   f"a child of 'C4' must be a JSON object with a string 'id', got {{'id': {nid!r}",
+                   id=f"hierarchy-id-{json.dumps(nid)}") for nid in (5, None, True, [1])],
     # the first matrix in config order to fail, the criteria's here, is the one blamed
     pytest.param(_edit_json("config_before.json", lambda doc: doc.update(max_iter=1, tau=0.0001)), [],
                  "judgment/criteria.csv", "judgment-matrix repair failed: repair did not reach d < 0.0001 "
@@ -551,6 +619,10 @@ BROKEN_INPUTS = [
                  "entropy weighting needs at least 2 evaluation objects, got 1", id="data-one-object"),
     pytest.param(_keep_lines("ratings_before.csv", 10), [], "ratings_before.csv",
                  "backward generator needs at least 10 rating samples, got 9", id="ratings-9-samples"),
+    pytest.param(_set_cells("indicators.csv", (0, 1, "C11x")), [], "indicators.csv",
+                 "column mismatch; missing ['C11'], unexpected ['C11x']", id="data-renamed-column"),
+    pytest.param(lambda root: _append_columns(root / "ratings_before.csv", ["X1"], "50"), [], "ratings_before.csv",
+                 "column mismatch; missing [], unexpected ['X1']", id="ratings-extra-column"),
 ]
 
 
