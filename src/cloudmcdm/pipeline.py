@@ -52,10 +52,6 @@ ENV_SEED = "CLOUDMCDM_SEED"
 # and the quadrature itself is only accurate to about 1e-14.
 REPORT_DIGITS = 12
 
-# droplets.csv rows formatted per orjson call; small enough that a block falling
-# back to repr costs little and the block's text stays small beside the file
-CSV_BLOCK_ROWS = 1024
-
 
 @dataclass(frozen=True)
 class PipelineConfig:
@@ -270,10 +266,11 @@ def load_inputs(cfg: PipelineConfig) -> PipelineInputs:
 
 def _subjective_weights(h: IndexHierarchy, cfg: PipelineConfig) -> dict[str, WeightVector]:
     """Local AHP weights of every group: the criteria under the root id, then each
-    criterion's leaves under its id; a group of one needs no matrix and has weight 1.
-    The matrices are loaded in that order and weighed in one `weigh_judgments` call;
-    those before a file that fails to load are weighed first, so the first faulty
-    file in config order is the one named.
+    criterion's leaves under its id. The matrices are loaded in that order and
+    weighed in one `weigh_judgments` call; those before a file that fails to load
+    are weighed first, so the first faulty file in config order is the one named.
+    A group of one needs no matrix and has weight 1; a matrix configured for it is
+    still loaded and its order checked, but not weighed.
 
     A matrix whose order does not match its group, that is not a valid reciprocal
     matrix on the 1/9..9 scale or that the repair cannot fix is a ValueError naming
@@ -289,7 +286,7 @@ def _subjective_weights(h: IndexHierarchy, cfg: PipelineConfig) -> dict[str, Wei
         for cid in h.criterion_ids()]
     loaded, failed = [], None
     for key, ids, path, what in groups:
-        if len(ids) == 1:
+        if len(ids) == 1 and path is None:
             continue
         try:
             if path is None:
@@ -300,7 +297,8 @@ def _subjective_weights(h: IndexHierarchy, cfg: PipelineConfig) -> dict[str, Wei
         except (ValueError, OSError) as e:
             failed = e
             break
-        loaded.append((path, j))
+        if len(ids) > 1:
+            loaded.append((path, j))
     weighed = weigh_judgments([j for _, j in loaded], cfg.repair)
     for (path, _), got in zip(loaded, weighed):
         if isinstance(got, Exception):
@@ -417,29 +415,42 @@ def droplets_csv_bytes(drops) -> bytes:
     """`x,mu` header, then one `x,mu` row per droplet, each value as Python's
     `repr` of the float64: its shortest round-trip digits.
 
-    orjson writes the same digits, and the same text wherever 1e-4 <= |v| < 1e16
-    or v is +-0.0; outside that range it drops repr's exponent sign and padding
-    (`1e-7`, not `1e-07`). Rows go to orjson in blocks of CSV_BLOCK_ROWS, and a
-    block holding a value outside that range (or a non-finite one) is formatted
-    with repr instead.
+    orjson formats all values in one call. It writes the same digits as repr,
+    and the same text wherever 1e-4 <= |v| < 1e16 or v is +-0.0. Outside that
+    range it writes small values positionally (`0.00006079666133681959`) or
+    without repr's exponent sign and padding (`1e-7`, `1e16`), and non-finite
+    ones as `null`; each such value is spliced in as its own repr.
     """
     import orjson  # local import: validate and weights never load it
 
     n = len(drops.x)
-    xmu = np.empty((n, 2))  # float64, so an integer value still reads 50.0
-    xmu[:, 0], xmu[:, 1] = drops.x, drops.mu
+    if n == 0:
+        return b"x,mu\n"
+    xmu = np.empty(2 * n)  # x0,mu0,x1,mu1,... as float64, so an integer value still reads 50.0
+    xmu[0::2], xmu[1::2] = drops.x, drops.mu
     a = np.abs(xmu)
-    plain = ((a == 0) | ((a >= 1e-4) & (a < 1e16))).all(axis=1)
-    lines = [b"x,mu"]
-    for lo in range(0, n, CSV_BLOCK_ROWS):
-        rows = xmu[lo:lo + CSV_BLOCK_ROWS]
-        if plain[lo:lo + CSV_BLOCK_ROWS].all():
-            # [[a,b],[c,d]] -> a,b\nc,d
-            lines.append(orjson.dumps(rows, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2].replace(b"],[", b"\n"))
-        else:
-            lines.append("\n".join(f"{x!r},{mu!r}" for x, mu in rows.tolist()).encode())
-    lines.append(b"")
-    return b"\n".join(lines)
+    off = np.flatnonzero(~((a >= 1e-4) & (a < 1e16) | (a == 0)))  # NaN fails every comparison
+    reprs = [repr(v).encode() for v in xmu[off].tolist()]
+    # each array goes once spent, so the text is never held twice beside a third array
+    raw = orjson.dumps(xmu, option=orjson.OPT_SERIALIZE_NUMPY)
+    del xmu, a
+    text = bytearray(raw)
+    del raw
+    # with the brackets read as commas, value k lies between delimiters k and k + 1,
+    # and every second delimiter from the third on ends a row
+    buf = np.frombuffer(text, np.uint8)
+    buf[[0, -1]] = ord(",")
+    delims = np.flatnonzero(buf == ord(","))
+    buf[delims[2::2]] = ord("\n")
+    lo, hi = (delims[off] + 1).tolist(), delims[off + 1].tolist()
+    del delims
+    view = memoryview(text)
+    pieces, at = [b"x,mu\n"], 1
+    for start, stop, r in zip(lo, hi, reprs):
+        pieces += (view[at:start], r)
+        at = stop
+    pieces.append(view[at:])
+    return b"".join(pieces)
 
 
 def load_report(path: str | Path) -> dict:

@@ -14,7 +14,7 @@ from helpers import REPO
 
 from cloudmcdm import svgplot
 from cloudmcdm.cloud import DEFAULT_SCHEME, CloudParams, forward_cloud
-from cloudmcdm.pipeline import CSV_BLOCK_ROWS, droplets_csv_bytes, run_pipeline
+from cloudmcdm.pipeline import droplets_csv_bytes, run_pipeline
 from cloudmcdm.svgplot import cloud_diagram
 
 
@@ -143,15 +143,19 @@ def test_droplets_csv_in_range_edges_read_as_repr():
         b"-0.0001,0.0\n-83.5,9999999999999998.0\n50.0,0.0001\n")
 
 
+# demo-like rows; the out-of-range rows below sit at and beside multiples of 1024,
+# where a writer formatting 1024-row blocks would split them
+_ROWS = 2065
+
+
 def _multi_block_droplets():
-    """Demo-like droplets over two full blocks and part of a third, all in range."""
-    drops = forward_cloud(CloudParams(83.5, 2.0, 0.2), 2 * CSV_BLOCK_ROWS + 17, 3)
+    """Demo-like droplets over 2065 rows, all in range."""
+    drops = forward_cloud(CloudParams(83.5, 2.0, 0.2), _ROWS, 3)
     assert np.all(np.abs(drops.x) >= 1e-4) and np.all(drops.mu >= 1e-4)
     return drops.x.copy(), drops.mu.copy()
 
 
-@pytest.mark.parametrize("row", [0, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 500,
-                                 2 * CSV_BLOCK_ROWS + 16])
+@pytest.mark.parametrize("row", [0, 1023, 1024, 1524, 2064])
 @pytest.mark.parametrize("column, v", [("mu", 3e-5), ("mu", 1e-7), ("x", 1e16), ("x", -2.5e-5)])
 def test_droplets_csv_one_row_out_of_range_in_a_block(row, column, v):
     xs, mus = _multi_block_droplets()
@@ -160,13 +164,51 @@ def test_droplets_csv_one_row_out_of_range_in_a_block(row, column, v):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.lists(st.tuples(st.integers(0, 2 * CSV_BLOCK_ROWS + 16), _finite, _finite), max_size=6))
+@given(st.lists(st.tuples(st.integers(0, _ROWS - 1), _finite, _finite), max_size=6))
 def test_droplets_csv_matches_repr_with_any_finite_rows_in_any_block(rows):
     xs, mus = _multi_block_droplets()
     for row, x, mu in rows:
         xs[row], mus[row] = x, mu
     drops = SimpleNamespace(x=xs, mu=mus)
     assert droplets_csv_bytes(drops) == reference_droplets_csv_bytes(drops)
+
+
+# where a value written by repr instead of orjson sits: (row, column) pairs
+_SPLICES = {
+    "first-value": [(0, "x")],
+    "last-value": [(_ROWS - 1, "mu")],
+    "one-row": [(700, "x"), (700, "mu")],
+    "adjacent-rows": [(700, "mu"), (701, "x")],
+}
+
+
+# values orjson writes unlike repr: 6.079666133681959e-05 (as in scaled seed 1's droplets)
+# as 0.00006079666133681959, 1e-7 and 1e16 without repr's exponent sign and padding,
+# and the non-finite ones as null
+@pytest.mark.parametrize("cells", _SPLICES.values(), ids=_SPLICES.keys())
+@pytest.mark.parametrize("v", [6.079666133681959e-05, 1e-7, 1e16, float("nan"), float("inf"), float("-inf")])
+def test_droplets_csv_splices_repr_at_any_position(cells, v):
+    xs, mus = _multi_block_droplets()
+    for row, column in cells:
+        (xs if column == "x" else mus)[row] = v
+    drops = SimpleNamespace(x=xs, mu=mus)
+    assert droplets_csv_bytes(drops) == reference_droplets_csv_bytes(drops)
+
+
+def test_droplets_csv_every_value_out_of_range():
+    rng = np.random.default_rng(5)
+    xs = rng.choice([1e-7, -3e-5, 1e16, -2.5e300, float("nan"), float("inf")], 50)
+    mus = 10.0 ** rng.uniform(-320, -4.01, 50)
+    drops = SimpleNamespace(x=xs, mu=mus)
+    assert droplets_csv_bytes(drops) == reference_droplets_csv_bytes(drops)
+
+
+def test_droplets_csv_empty_and_one_row():
+    empty = droplets_csv_bytes(SimpleNamespace(x=np.empty(0), mu=np.empty(0)))
+    one = droplets_csv_bytes(SimpleNamespace(x=np.array([83.5]), mu=np.array([0.25])))
+    assert empty == b"x,mu\n" and one == b"x,mu\n83.5,0.25\n"
+    # cli droplets decodes the result, and run_pipeline hands it to write_bytes
+    assert type(empty) is bytes and type(one) is bytes
 
 
 _in_range = st.one_of(

@@ -310,6 +310,32 @@ def test_one_leaf_criterion_end_to_end(tmp_path, capsys, scenario):
     assert (c4["ex"], c4["en"], c4["he"]) == (c41.ex, c41.en, c41.he)
 
 
+@pytest.mark.parametrize("matrix, message", [("judgment/missing.csv", "No such file or directory"),
+                                             ("judgment/C4.csv", "order 5 does not match 1 leaves of C4")],
+                         ids=["missing", "order-5"])
+def test_one_leaf_criterion_still_loads_a_configured_matrix(tmp_path, capsys, matrix, message):
+    # a group of one is not weighed, but a matrix the config names for it is opened
+    # and its order checked, like any other
+    _copy_demo(tmp_path)
+    _one_leaf_C4(tmp_path)
+    _edit_json("config_before.json", lambda doc: doc["indicator_matrices"].update(C4=matrix))(tmp_path)
+    err = _every_command_error(tmp_path, capsys)
+    assert err.startswith("error: ") and message in err and str(tmp_path / matrix) in err
+
+
+def test_one_leaf_criterion_with_an_order_1_matrix(tmp_path):
+    # the configured matrix passes its checks and is then left unweighed
+    _copy_demo(tmp_path)
+    _one_leaf_C4(tmp_path)
+    (tmp_path / "judgment" / "C41.csv").write_text("1\n")
+    _edit_json("config_before.json", lambda doc: doc["indicator_matrices"].update(C4="judgment/C41.csv"))(tmp_path)
+    config = str(tmp_path / "config_before.json")
+    for argv in (["validate", config], ["weights", config], ["evaluate", config, "--out", str(tmp_path / "out")]):
+        assert cli_main(argv) == 0, argv
+    report = run_pipeline(config)
+    assert report.weights["indicator_local_combined"]["C4"] == {"C41": 1.0}
+
+
 def _copy_demo(dst: Path) -> None:
     for src in DEMO.iterdir():
         if src.is_file():
@@ -626,13 +652,9 @@ BROKEN_INPUTS = [
 ]
 
 
-@pytest.mark.parametrize("breaks, flags, name, message", BROKEN_INPUTS)
-def test_every_command_rejects_a_broken_input_alike(tmp_path, capsys, breaks, flags, name, message):
-    # validate runs the loading half of every other command, so it accepts
-    # exactly what they load and rejects the rest with the same message
-    _copy_demo(tmp_path)
-    breaks(tmp_path)
-    config = str(tmp_path / "config_before.json")
+def _every_command_error(root: Path, capsys, flags=()) -> str:
+    """The one error every command prints for a broken copy of the demo, each exiting 2."""
+    config = str(root / "config_before.json")
     errs = []
     for argv in (["validate", config], ["weights", config], ["evaluate", config],
                  ["droplets", config, "--level", "comprehensive"]):
@@ -641,7 +663,16 @@ def test_every_command_rejects_a_broken_input_alike(tmp_path, capsys, breaks, fl
         assert out == "", argv
         errs.append(err)
     assert errs == [errs[0]] * 4
-    err = errs[0]
+    return errs[0]
+
+
+@pytest.mark.parametrize("breaks, flags, name, message", BROKEN_INPUTS)
+def test_every_command_rejects_a_broken_input_alike(tmp_path, capsys, breaks, flags, name, message):
+    # validate runs the loading half of every other command, so it accepts
+    # exactly what they load and rejects the rest with the same message
+    _copy_demo(tmp_path)
+    breaks(tmp_path)
+    err = _every_command_error(tmp_path, capsys, flags)
     assert err.startswith("error: ") and message in err
     if name is None:
         assert str(tmp_path) not in err
