@@ -23,5 +23,5 @@ for band, s in similarities.items():
     print(f"  {band:<10} {s:.4f}{marker}")
 
 out = Path(__file__).resolve().parent / "grading_demo.svg"
-out.write_text(cloud_diagram(concept, DEFAULT_SCHEME, seed=0))
+out.write_bytes(cloud_diagram(concept, DEFAULT_SCHEME, seed=0))
 print(f"wrote {out}")

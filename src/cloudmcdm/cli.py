@@ -131,7 +131,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (ValueError, KeyError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
+        # an OSError names its file as every other input error does: path first
+        named = isinstance(e, OSError) and e.filename is not None
+        print(f"error: {e.filename}: {e.strerror}" if named else f"error: {e}", file=sys.stderr)
         return 2
 
 

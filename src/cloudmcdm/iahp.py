@@ -85,15 +85,16 @@ def _check_square(m: np.ndarray, name: str) -> np.ndarray:
     return m
 
 
-def validate_judgment(j: np.ndarray) -> None:
-    """Check finite entries, unit diagonal and reciprocity r_ij * r_ji = 1."""
+def validate_judgment(j: np.ndarray, min_order: int = 2) -> None:
+    """Check finite entries, an order in [min_order, 15], positive entries, unit
+    diagonal and reciprocity r_ij * r_ji = 1."""
     j = _check_square(j, "judgment matrix")
     if not np.isfinite(j).all():
         i, k = np.argwhere(~np.isfinite(j))[0]
         raise ValueError(f"non-finite entry {float(j[i, k])} at cell ({i + 1},{k + 1})")
     n = j.shape[0]
-    if not (2 <= n <= 15):
-        raise ValueError(f"judgment matrix order must be in [2, 15], got {n}")
+    if not (min_order <= n <= 15):
+        raise ValueError(f"judgment matrix order must be in [{min_order}, 15], got {n}")
     if (j <= 0).any():
         raise ValueError("judgment matrix entries must be positive")
     if np.abs(np.diag(j) - 1.0).max() > _SCALE_TOL:

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from helpers import REPO
 
 from cloudmcdm import svgplot
-from cloudmcdm.cloud import DEFAULT_SCHEME, CloudParams, forward_cloud
+from cloudmcdm.cloud import DEFAULT_SCHEME, CloudParams, GradeScheme, forward_cloud
 from cloudmcdm.pipeline import droplets_csv_bytes, run_pipeline
 from cloudmcdm.svgplot import cloud_diagram
 
@@ -51,7 +51,7 @@ def assert_writers_match(xs, mus):
     drops = SimpleNamespace(x=xs, mu=mus)
     assert droplets_csv_bytes(drops) == reference_droplets_csv_bytes(drops)
     style = ("#1f3d7a", 1.5, 0.7)
-    assert svgplot._dots(xs, mus, *style) == "\n".join(reference_dots(xs, mus, *style))
+    assert svgplot._dots(xs, mus, *style) == "\n".join(reference_dots(xs, mus, *style)).encode()
 
 
 # the comprehensive cloud of data/demo/config_before.json comes from the
@@ -227,14 +227,78 @@ def test_droplets_csv_matches_repr_on_any_in_range_floats(pairs):
     assert droplets_csv_bytes(drops) == reference_droplets_csv_bytes(drops)
 
 
+# inputs whose pixel is not written as integer cents but formatted alone by '%.2f':
+# (x value, mu value) per case
+_DOT_FALLBACKS = {
+    "minus-zero": (-8.823529411764707, 1.0571428571428574),  # pixels just below 0, printed -0.00
+    "negative": (-50.0, 2.0),
+    "tie": (0.01838235294117647, 0.9996428571428572),  # pixels exactly 60.125 and 20.125
+    "1e7": (1e7, -1e5),  # pixels 68000060 and 35000370
+    "inf": (float("inf"), float("-inf")),
+    "nan": (float("nan"), float("nan")),
+}
+_DOT_ROWS = 2000
+_DOT_CELLS = {
+    "first-value": [(0, "x")],
+    "last-value": [(_DOT_ROWS - 1, "mu")],
+    "one-row": [(700, "x"), (700, "mu")],
+    "adjacent-rows": [(700, "mu"), (701, "x")],
+}
+
+
+def test_dot_fallback_inputs_reach_their_pixels():
+    x, mu = _DOT_FALLBACKS["minus-zero"]
+    assert reference_px(x) < 0 and reference_py(mu) < 0
+    assert f"{reference_px(x):.2f}" == f"{reference_py(mu):.2f}" == "-0.00"
+    x, mu = _DOT_FALLBACKS["tie"]
+    assert (reference_px(x), reference_py(mu)) == (60.125, 20.125)
+
+
+@pytest.mark.parametrize("cells", _DOT_CELLS.values(), ids=_DOT_CELLS.keys())
+@pytest.mark.parametrize("x, mu", _DOT_FALLBACKS.values(), ids=_DOT_FALLBACKS.keys())
+def test_dots_format_a_row_alone_at_any_position(cells, x, mu):
+    drops = forward_cloud(CloudParams(83.5, 2.0, 0.2), _DOT_ROWS, 3)
+    xs, mus = drops.x.copy(), drops.mu.copy()
+    for row, column in cells:
+        if column == "x":
+            xs[row] = x
+        else:
+            mus[row] = mu
+    assert_writers_match(xs, mus)
+
+
+# pixels at the edges of the integer-cents range, 0 <= v and 100 * v < 1e9
+_BULK_EDGES = [0.0, 5e-324, 0.004999, 0.005, 0.0051, 9999999.99, 9999999.994999, 9999999.995, 1e7,
+               float(np.nextafter(1e7, 0)), float(np.nextafter(1e7, np.inf))]
+
+
+def test_dots_match_reference_at_the_bulk_range_edges():
+    # pixel v from a score (v - 60) / 6.8 and from a membership (370 - v) / 350; the
+    # round trip lands on or next to v
+    xs = np.array([(v - _ML) / (_W - _ML - _MR) * 100.0 for v in _BULK_EDGES])
+    mus = np.array([(_H - _MB - v) / (_H - _MT - _MB) for v in _BULK_EDGES])
+    assert_writers_match(xs, mus)
+    assert_writers_match(xs, mus[::-1])
+
+
 @pytest.mark.parametrize("seed", [0, 1, 7])
 def test_diagram_matches_reference_dots(report_before, monkeypatch, seed):
     c = CloudParams(**report_before.comprehensive_cloud)
     svg = cloud_diagram(c, DEFAULT_SCHEME, seed=seed)
     circles = ET.fromstring(svg).findall("{http://www.w3.org/2000/svg}circle")
     assert len(circles) == svgplot.N_CLOUD + len(DEFAULT_SCHEME.bands) * svgplot.N_GRADE
-    monkeypatch.setattr(svgplot, "_dots", lambda *args, **kw: "\n".join(reference_dots(*args, **kw)))
+    monkeypatch.setattr(svgplot, "_dots", lambda *args, **kw: "\n".join(reference_dots(*args, **kw)).encode())
     assert cloud_diagram(c, DEFAULT_SCHEME, seed=seed) == svg
+
+
+def test_diagram_escapes_band_labels_and_writes_utf8():
+    labels = ("poor & <60", "fair > 60", "g\u00f6od", "excellent")
+    scheme = GradeScheme(bands=tuple((label, lo, hi) for label, (_, lo, hi) in zip(labels, DEFAULT_SCHEME.bands)))
+    svg = cloud_diagram(CloudParams(83.5, 2.0, 0.2), scheme, seed=1)
+    assert type(svg) is bytes and "g\u00f6od".encode("utf-8") in svg
+    texts = [t.text for t in ET.fromstring(svg).iter("{http://www.w3.org/2000/svg}text")]
+    assert all(label in texts for label in labels)
+    assert b">poor &amp; &lt;60</text>" in svg and b">fair &gt; 60</text>" in svg
 
 
 # -- the engine's limits -----------------------------------------------------------

@@ -66,10 +66,10 @@ def test_demo_dataset_builder_reproduces_the_shipped_data(tmp_path):
 
 
 def test_orjson_loads_only_with_the_droplet_writer():
-    # orjson formats droplets.csv; importing the CLI and the commands that write
-    # no droplets (validate, weights) leave it unloaded
+    # orjson formats droplets.csv and diagram.svg; importing the CLI and the plot
+    # module, and the commands that write neither (validate, weights), leave it unloaded
     code = ("import sys, contextlib, io\n"
-            "import cloudmcdm.cli as cli\n"
+            "import cloudmcdm.cli as cli, cloudmcdm.svgplot\n"
             "assert 'orjson' not in sys.modules, 'import'\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    for cmd in ('validate', 'weights'):\n"

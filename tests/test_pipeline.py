@@ -336,6 +336,33 @@ def test_one_leaf_criterion_with_an_order_1_matrix(tmp_path):
     assert report.weights["indicator_local_combined"]["C4"] == {"C41": 1.0}
 
 
+@pytest.mark.parametrize("entry, message", [("5", "judgment matrix diagonal must be 1"),
+                                            ("1/9", "judgment matrix diagonal must be 1"),
+                                            ("nan", "non-finite entry nan at cell (1,1)")],
+                         ids=["5", "1/9", "nan"])
+def test_one_leaf_criterion_rejects_an_order_1_matrix_that_is_not_1(tmp_path, capsys, entry, message):
+    # an order-1 matrix is its diagonal, checked as in any larger matrix
+    _copy_demo(tmp_path)
+    _one_leaf_C4(tmp_path)
+    (tmp_path / "judgment" / "C41.csv").write_text(f"{entry}\n")
+    _edit_json("config_before.json", lambda doc: doc["indicator_matrices"].update(C4="judgment/C41.csv"))(tmp_path)
+    assert _every_command_error(tmp_path, capsys) == f"error: {tmp_path / 'judgment' / 'C41.csv'}: {message}\n"
+
+
+def test_a_missing_config_is_named_first(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    for argv in (["validate", str(missing)], ["weights", str(missing)], ["evaluate", str(missing)]):
+        assert cli_main(argv) == 2
+        assert capsys.readouterr().err == f"error: {missing}: No such file or directory\n"
+
+
+def test_a_missing_ratings_file_is_named_first(tmp_path, capsys):
+    _copy_demo(tmp_path)
+    (tmp_path / "ratings_before.csv").unlink()
+    err = _every_command_error(tmp_path, capsys)
+    assert err == f"error: {tmp_path / 'ratings_before.csv'}: No such file or directory\n"
+
+
 def _copy_demo(dst: Path) -> None:
     for src in DEMO.iterdir():
         if src.is_file():
