@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -35,3 +36,21 @@ def perturbed_judgment(n: int, rng: np.random.Generator, wobble: int = 3) -> np.
             j[i, k] = SAATY_VALUES[idx]
             j[k, i] = 1.0 / j[i, k]
     return j
+
+
+def assert_floats_close(got, want, rel: float = 0.0, abs: float = 0.0, where: str = "") -> None:
+    """Two JSON documents alike: the same keys, list lengths, types and non-float
+    values, and every float pair within `math.isclose(rel_tol=rel, abs_tol=abs)`."""
+    assert type(got) is type(want), (where, got, want)
+    if isinstance(want, dict):
+        assert got.keys() == want.keys(), where
+        for k in want:
+            assert_floats_close(got[k], want[k], rel, abs, f"{where}.{k}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), where
+        for k, (g, w) in enumerate(zip(got, want)):
+            assert_floats_close(g, w, rel, abs, f"{where}[{k}]")
+    elif isinstance(want, float):
+        assert math.isclose(got, want, rel_tol=rel, abs_tol=abs), (where, got, want)
+    else:
+        assert got == want, (where, got, want)

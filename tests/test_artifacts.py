@@ -10,8 +10,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import REPO
-
 from cloudmcdm import svgplot
 from cloudmcdm.cloud import DEFAULT_SCHEME, CloudParams, GradeScheme, forward_cloud
 from cloudmcdm.pipeline import droplets_csv_bytes, run_pipeline
@@ -303,20 +301,15 @@ def test_diagram_escapes_band_labels_and_writes_utf8():
 
 # -- the engine's limits -----------------------------------------------------------
 
-def test_scaled_run_writes_complete_artifacts(tmp_path, monkeypatch):
+def test_scaled_run_writes_complete_artifacts(scaled_run):
     # 15 x 15 leaves, 1000 objects, 2000 rating samples, 16 order-15 matrices to repair
-    monkeypatch.syspath_prepend(str(REPO / "perfbench"))
-    import scaled_inputs
-
-    scaled_inputs.generate(1, tmp_path / "in")
-    config = tmp_path / "in" / "config.json"
-    report = run_pipeline(config, out_dir=tmp_path / "out")
+    config, report, out = scaled_run(1)
 
     droplets = json.loads(config.read_text())["droplets"]
-    rows = (tmp_path / "out" / "droplets.csv").read_bytes().split(b"\n")
+    rows = (out / "droplets.csv").read_bytes().split(b"\n")
     assert rows[0] == b"x,mu" and rows[-1] == b"" and len(rows) - 1 == droplets + 1
 
-    svg = (tmp_path / "out" / "diagram.svg").read_text(encoding="utf-8")
+    svg = (out / "diagram.svg").read_text(encoding="utf-8")
     assert svg.endswith("</svg>\n")
     ET.fromstring(svg)  # a complete, well-formed document
 

@@ -27,7 +27,7 @@ from cloudmcdm.pipeline import (
     run_pipeline,
 )
 
-from helpers import DEMO
+from helpers import DEMO, assert_floats_close
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "report_before.json"
 
@@ -51,11 +51,22 @@ def _map_floats(doc, fn):
     return doc
 
 
+@pytest.mark.parametrize("seed", [1, 7])
+def test_scaled_golden_report_regression(scaled_run, seed):
+    # frozen from perfbench/scaled_inputs.py at seeds 1 and 7 (16 order-15 matrices
+    # repaired); every float agrees to one unit in its 12th significant digit, so a
+    # BLAS a few ulps off passes while any real numeric change fails
+    golden = GOLDEN.with_name(f"report_scaled_{seed}.json")
+    got = json.loads(scaled_run(seed)[1].to_json_bytes())
+    assert_floats_close(got, json.loads(golden.read_bytes()), rel=1e-11)
+
+
 @pytest.mark.parametrize("toward", [np.inf, -np.inf])
-def test_report_bytes_survive_one_ulp_drift(report_before, report_after, toward):
+def test_report_bytes_survive_one_ulp_drift(report_before, report_after, scaled_run, toward):
     # platform drift (numpy's SIMD exp differs by an ulp between builds and CPUs)
-    # must not reach either demo report.json: nudge every nonzero float by one ulp
-    for report in (report_before, report_after):
+    # must not reach the demo's or the scaled goldens' report.json: nudge every
+    # nonzero float by one ulp
+    for report in (report_before, report_after, scaled_run(1)[1], scaled_run(7)[1]):
         nudged = _map_floats(report.to_dict(), lambda v: float(np.nextafter(v, toward)) if v != 0.0 else v)
         assert nudged != report.to_dict()
         assert EvaluationReport(**nudged).to_json_bytes() == report.to_json_bytes()
