@@ -9,6 +9,10 @@ is applied to the result. `weigh_judgments` repairs the matrices of one order
 in lockstep, with one power iteration per matrix for its CR and its weights;
 its reference, distance and pull steps are private kernels over such stacks.
 `auto_correct`, `consistency_ratio` and `principal_weights` are one-matrix calls.
+
+A checked relation sits on the knots, |logit p_ij| <= logit 0.9. The reference
+averages logit p_it + logit p_tj and the pull moves logit p linearly toward it, so
+every iterate keeps |logit p_ij| <= (j - i) logit 0.9 and no chain product is 0.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -85,16 +88,16 @@ def _check_square(m: np.ndarray, name: str) -> np.ndarray:
     return m
 
 
-def validate_judgment(j: np.ndarray, min_order: int = 2) -> None:
-    """Check finite entries, an order in [min_order, 15], positive entries, unit
-    diagonal and reciprocity r_ij * r_ji = 1."""
+def validate_judgment(j: np.ndarray) -> None:
+    """Check finite entries, an order in [1, 15], positive entries, unit diagonal
+    and reciprocity r_ij * r_ji = 1."""
     j = _check_square(j, "judgment matrix")
     if not np.isfinite(j).all():
         i, k = np.argwhere(~np.isfinite(j))[0]
         raise ValueError(f"non-finite entry {float(j[i, k])} at cell ({i + 1},{k + 1})")
     n = j.shape[0]
-    if not (min_order <= n <= 15):
-        raise ValueError(f"judgment matrix order must be in [{min_order}, 15], got {n}")
+    if not (1 <= n <= 15):
+        raise ValueError(f"judgment matrix order must be in [1, 15], got {n}")
     if (j <= 0).any():
         raise ValueError("judgment matrix entries must be positive")
     if np.abs(np.diag(j) - 1.0).max() > _SCALE_TOL:
@@ -141,62 +144,41 @@ def from_preference(p: np.ndarray) -> np.ndarray:
     return j
 
 
-class _ChainPlan(NamedTuple):
-    left: np.ndarray       # index into ext of the first factor of every chain, cell by cell
-    right: np.ndarray      # index into ext of its second factor
-    starts: np.ndarray     # offset of each cell's first chain: m numerator cells, then m denominator cells
-    exponents: list[float]  # 1/(j-i-1) for the m numerators, then again for the m denominators
-    upper: np.ndarray      # flat index of each cell (i, j), j >= i+2, in row-major order
-    lower: np.ndarray      # flat index of its mirror (j, i)
-
-
 @functools.cache
-def _chain_plan(n: int) -> _ChainPlan:
-    """Gather indices of every chain of an order-n relation (none below order 3).
-
-    `ext` is [p.ravel(), (1 - p).ravel()]: the first half of `left`/`right`
-    gathers the numerator chains p_it * p_tj of each cell, the second half the
-    denominator chains (1 - p_it) * (1 - p_tj), with no padding between cells.
-    """
-    i, j = np.triu_indices(n, 2)  # row-major: an error names the first bad cell in row order
+def _chain_plan(n: int) -> tuple[np.ndarray, ...]:
+    """Gather plan of every chain of an order-n relation (none below order 3): flat
+    indices of each chain's factors p_it and p_tj, cell by cell with no padding, the
+    offset of each cell's first chain, its root 1/(j-i-1), and the flat indices of
+    the cells (i, j), j >= i+2, in row-major order and of their mirrors (j, i)."""
+    i, j = np.triu_indices(n, 2)
     width = j - i - 1  # chains of each cell
     cell, starts = np.repeat(np.arange(len(i)), width), np.cumsum(width) - width
     t = i[cell] + 1 + np.arange(len(cell)) - starts[cell]
-    left, right = i[cell] * n + t, t * n + j[cell]
-    left, right = np.concatenate((left, left + n * n)), np.concatenate((right, right + n * n))
-    starts = np.concatenate((starts, starts + len(t)))
-    upper, lower = i * n + j, j * n + i
-    for a in (left, right, starts, upper, lower):
+    plan = (i[cell] * n + t, t * n + j[cell], starts, 1.0 / width, i * n + j, j * n + i)
+    for a in plan:
         a.flags.writeable = False
-    return _ChainPlan(left, right, starts, (1.0 / width).tolist() * 2, upper, lower)
+    return plan
 
 
-def _references(p: np.ndarray) -> tuple[np.ndarray, list[ValueError | None]]:
-    """Consistent references of a (k, n, n) stack of relations, and for each the
-    zero-product error that stops it, or None. Chain factors are multiplied left
-    to right (`reduceat`) and rooted with libm `pow` (`math.pow`): the bits of
-    rebuilding each cell alone with `np.prod` and a scalar power, which the
-    repair loop needs, as it feeds its output back into itself."""
+def _references(p: np.ndarray) -> np.ndarray:
+    """Consistent references of a (k, n, n) stack of checked relations or their
+    repair iterates. A cell's numerator chains p_it * p_tj and denominator chains
+    (1 - p_it) * (1 - p_tj) read the same cells, so p and 1 - p are gathered as one
+    stack, multiplied left to right (`reduceat`) and rooted with libm `math.pow`:
+    the bits of rebuilding each cell alone with `np.prod` and a scalar power, which
+    the repair loop feeds back into itself. As every iterate keeps |logit p_ij| <=
+    (j - i) logit 0.9, each of at most 13 chains is >= e^-30.8 / 4: no product is 0."""
     k, n, _ = p.shape
-    errors: list[ValueError | None] = [None] * k
-    plan = _chain_plan(n)
-    ext = np.concatenate((p, 1.0 - p), axis=1).reshape(k, -1)  # [p.ravel(), (1 - p).ravel()] per relation
-    prods = np.multiply.reduceat(ext[:, plan.left] * ext[:, plan.right], plan.starts, axis=1)
-    m = len(plan.upper)
-    if not prods.all():
-        bad = (prods[:, :m] == 0.0) | (prods[:, m:] == 0.0)
-        for r in np.flatnonzero(bad.any(axis=1)).tolist():
-            i, j = divmod(int(plan.upper[np.argmax(bad[r])]), n)
-            errors[r] = ValueError(f"degenerate chain for cell ({i + 1},{j + 1}): zero product")
-        prods[prods == 0.0] = 1.0  # the stopped relations' rows, kept finite
-    roots = np.fromiter(map(math.pow, prods.ravel().tolist(), plan.exponents * k), float, prods.size)
-    a, b = roots.reshape(k, 2, m).transpose(1, 0, 2)
+    left, right, starts, roots, upper, lower = _chain_plan(n)
+    q = np.stack((p, 1.0 - p), axis=1).reshape(2 * k, -1)  # p, then 1 - p, of each relation
+    prods = np.multiply.reduceat(q[:, left] * q[:, right], starts, axis=1)
+    powed = map(math.pow, prods.ravel().tolist(), roots.tolist() * 2 * k)
+    a, b = np.fromiter(powed, float, prods.size).reshape(k, 2, -1).transpose(1, 0, 2)
     v = a / (a + b)
-    out = p.copy()
-    flat = out.reshape(k, -1)  # a view: the copy is C-contiguous
-    flat[:, plan.upper] = v
-    flat[:, plan.lower] = 1.0 - v
-    return out, errors
+    flat = p.reshape(k, -1).copy()
+    flat[:, upper] = v
+    flat[:, lower] = 1.0 - v
+    return flat.reshape(p.shape)
 
 
 def _distances(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -234,13 +216,11 @@ def weigh_judgments(matrices, cfg: RepairConfig | None = None) -> list[tuple | V
         done: dict[int, np.ndarray] = {}
         live, p = np.array(list(members)), np.stack(list(members.values()))
         while live.size:
-            ref, errors = _references(p)
+            ref = _references(p)
             keep = []
-            for r, (k, d, error) in enumerate(zip(live.tolist(), _distances(p, ref).tolist(), errors)):
+            for r, (k, d) in enumerate(zip(live.tolist(), _distances(p, ref).tolist())):
                 traces[k].distances.append(d)
-                if error:
-                    out[k] = error
-                elif d < cfg.tau:
+                if d < cfg.tau:
                     done[k] = p[r]
                 elif traces[k].iterations == cfg.max_iter:
                     out[k] = RepairError(f"repair did not reach d < {cfg.tau} within {cfg.max_iter} "
@@ -310,7 +290,7 @@ def _power_iteration(a: np.ndarray, tol: float = 1e-12, max_sweeps: int = 10_000
 
 
 def _ratios(lam: float, n: int) -> tuple[float, float, float]:
-    ci = (lam - n) / (n - 1)
+    ci = (lam - n) / (n - 1) if n > 1 else 0.0
     ri = RANDOM_INDEX[n]
     return lam, ci, 0.0 if ri == 0 else ci / ri
 

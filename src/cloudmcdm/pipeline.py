@@ -41,7 +41,7 @@ from .dataprep import (DataMatrix, json_float, json_int, json_object, json_value
 from .ewm import MIN_OBJECTS, WeightVector, entropy_weights
 from .fce import fce_score, membership_matrix
 from .hierarchy import IndexHierarchy, leaf_indicators, load_hierarchy, validate_hierarchy
-from .iahp import RepairConfig, RepairError, load_judgment_csv, validate_judgment, weigh_judgments
+from .iahp import RepairConfig, RepairError, load_judgment_csv, weigh_judgments
 from .iahp import auto_correct, principal_weights  # unused; perfbench/spans.py wraps both by name
 
 ENV_SEED = "CLOUDMCDM_SEED"
@@ -270,7 +270,7 @@ def _subjective_weights(h: IndexHierarchy, cfg: PipelineConfig) -> dict[str, Wei
     weighed in one `weigh_judgments` call; those before a file that fails to load
     are weighed first, so the first faulty file in config order is the one named.
     A group of one needs no matrix and has weight 1; a matrix configured for it is
-    still loaded and checked like any other (so it must read `1`), but not weighed.
+    weighed like any other, so it must read `1`.
 
     A matrix whose order does not match its group, that is not a valid reciprocal
     matrix on the 1/9..9 scale or that the repair cannot fix is a ValueError naming
@@ -294,25 +294,19 @@ def _subjective_weights(h: IndexHierarchy, cfg: PipelineConfig) -> dict[str, Wei
             j = load_judgment_csv(path)
             if j.shape[0] != len(ids):
                 raise ValueError(f"{path}: order {j.shape[0]} does not match {len(ids)} {what}")
-            if len(ids) == 1:  # never weighed, so its content is checked here
-                try:
-                    validate_judgment(j, min_order=1)
-                except ValueError as e:
-                    raise ValueError(f"{path}: {e}") from None
         except (ValueError, OSError) as e:
             failed = e
             break
-        if len(ids) > 1:
-            loaded.append((path, j))
-    weighed = weigh_judgments([j for _, j in loaded], cfg.repair)
-    for (path, _), got in zip(loaded, weighed):
+        loaded.append((key, path, j))
+    weighed = weigh_judgments([j for _, _, j in loaded], cfg.repair)
+    for (_, path, _), got in zip(loaded, weighed):
         if isinstance(got, Exception):
             why = "judgment-matrix repair failed: " if isinstance(got, RepairError) else ""
             raise ValueError(f"{path}: {why}{got}") from None
     if failed:
         raise failed
-    found = iter(weighed)
-    return {key: WeightVector(tuple(ids), np.array([1.0]) if len(ids) == 1 else next(found)[1])
+    weights = {key: got[1] for (key, _, _), got in zip(loaded, weighed)}
+    return {key: WeightVector(tuple(ids), weights[key] if key in weights else np.ones(1))
             for key, ids, _, _ in groups}
 
 

@@ -36,10 +36,7 @@ def pref_of(j):
 
 def reference_of(p):
     # the consistent reference of one relation, from the stacked kernel weigh_judgments runs
-    out, [error] = _references(np.asarray(p, dtype=float)[None])
-    if error:
-        raise error
-    return out[0]
+    return _references(np.asarray(p, dtype=float)[None])[0]
 
 
 def distance(p, q):
@@ -135,18 +132,44 @@ def test_reference_matches_per_cell_chain_loop(knots):
             np.testing.assert_array_equal(reference_of(p), _reference_per_cell(p))
 
 
-def test_reference_zero_product_names_first_cell_like_loop():
-    rng = np.random.default_rng(8)
-    for n in (5, 9, 15):
-        p = _random_relation(n, rng, knots=False)
-        # a zero p and a zero 1 - p, each in several chains; the loop stops at the first
-        for a, b, v in ((2, 3, 0.0), (n - 2, n - 1, 1.0)):
-            p[a, b], p[b, a] = v, 1.0 - v
-        with pytest.raises(ValueError) as want:
-            _reference_per_cell(p)
-        with pytest.raises(ValueError, match="zero product") as got:
-            reference_of(p)
-        assert str(got.value) == str(want.value)
+def _smallest_chain_product(p):
+    # the smallest numerator or denominator chain product of any cell, as the chain loop forms them
+    n = p.shape[0]
+    prods = [1.0]
+    for i in range(n):
+        for j in range(i + 2, n):
+            ts = np.arange(i + 1, j)
+            prods += [np.prod(p[i, ts] * p[ts, j]), np.prod((1.0 - p[i, ts]) * (1.0 - p[ts, j]))]
+    return min(prods)
+
+
+def _on_scale_judgment(n, seed, kind):
+    if kind == "nines":  # every earlier item 9 times the later
+        return from_preference(np.triu(np.full((n, n), 0.9), 1) + np.tril(np.full((n, n), 0.1), -1)
+                               + 0.5 * np.eye(n))
+    if kind == "alternating":  # 1/9 and 9 in a checkerboard above the diagonal
+        i, j = np.indices((n, n))
+        u = np.where((i + j) % 2, 0.9, 0.1)
+        return from_preference(np.triu(u, 1) + np.tril(1.0 - u.T, -1) + 0.5 * np.eye(n))
+    return from_preference(_random_relation(n, np.random.default_rng(seed), knots=True))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 15), st.integers(0, 2**32 - 1), st.sampled_from(["knots", "nines", "alternating"]),
+       st.floats(0.01, 0.999, exclude_min=True, exclude_max=True), st.integers(1, 60))
+@example(15, 0, "nines", 0.999, 60)
+@example(15, 0, "alternating", 0.5, 60)
+def test_repair_iterates_keep_the_logit_bound_and_nonzero_chains(n, seed, kind, sigma, steps):
+    # every iterate of an on-scale relation keeps |logit p_ij| <= (j - i) logit 0.9, so
+    # no chain product reaches zero and the reference needs no zero-product check
+    iterates = [to_preference(_on_scale_judgment(n, seed, kind))]
+    for _ in range(steps):
+        iterates.append(_pull(iterates[-1], reference_of(iterates[-1]), sigma))
+    i, j = np.triu_indices(n, 1)
+    bound = (j - i) * math.log(0.9 / 0.1) * (1 + 1e-6)
+    for p in iterates:
+        assert (np.abs(np.log(p[i, j] / (1.0 - p[i, j]))) <= bound).all()
+        assert _smallest_chain_product(p) > 1e-300
 
 
 def test_reference_reaches_fixed_point():
@@ -488,6 +511,16 @@ def test_uniform_weights_for_all_ones():
     np.testing.assert_allclose(w.weights, 0.2, atol=1e-12)
     lam, _, cr = consistency_ratio(np.ones((5, 5)))
     assert lam == pytest.approx(5.0, abs=1e-9) and cr == pytest.approx(0.0, abs=1e-9)
+
+
+def test_order_1_is_weighed_like_any_other():
+    one = np.ones((1, 1))
+    assert principal_weights(one).weights.tolist() == [1.0]
+    assert consistency_ratio(one) == (1.0, 0.0, 0.0)
+    out, trace = auto_correct(one)
+    assert np.array_equal(out, one) and trace.iterations == 0 and trace.final_cr == 0.0
+    with pytest.raises(ValueError, match="diagonal must be 1"):
+        auto_correct(np.full((1, 1), 5.0))
 
 
 def test_two_by_two_closed_form():

@@ -325,8 +325,8 @@ def test_one_leaf_criterion_end_to_end(tmp_path, capsys, scenario):
                                              ("judgment/C4.csv", "order 5 does not match 1 leaves of C4")],
                          ids=["missing", "order-5"])
 def test_one_leaf_criterion_still_loads_a_configured_matrix(tmp_path, capsys, matrix, message):
-    # a group of one is not weighed, but a matrix the config names for it is opened
-    # and its order checked, like any other
+    # a group of one needs no matrix, but one the config names for it is opened and
+    # its order checked, like any other
     _copy_demo(tmp_path)
     _one_leaf_C4(tmp_path)
     _edit_json("config_before.json", lambda doc: doc["indicator_matrices"].update(C4=matrix))(tmp_path)
@@ -335,7 +335,7 @@ def test_one_leaf_criterion_still_loads_a_configured_matrix(tmp_path, capsys, ma
 
 
 def test_one_leaf_criterion_with_an_order_1_matrix(tmp_path):
-    # the configured matrix passes its checks and is then left unweighed
+    # the configured matrix is weighed like any other and gives the leaf weight 1
     _copy_demo(tmp_path)
     _one_leaf_C4(tmp_path)
     (tmp_path / "judgment" / "C41.csv").write_text("1\n")
@@ -352,12 +352,25 @@ def test_one_leaf_criterion_with_an_order_1_matrix(tmp_path):
                                             ("nan", "non-finite entry nan at cell (1,1)")],
                          ids=["5", "1/9", "nan"])
 def test_one_leaf_criterion_rejects_an_order_1_matrix_that_is_not_1(tmp_path, capsys, entry, message):
-    # an order-1 matrix is its diagonal, checked as in any larger matrix
+    # an order-1 matrix is its diagonal, checked as in any larger matrix when it is weighed
     _copy_demo(tmp_path)
     _one_leaf_C4(tmp_path)
     (tmp_path / "judgment" / "C41.csv").write_text(f"{entry}\n")
     _edit_json("config_before.json", lambda doc: doc["indicator_matrices"].update(C4="judgment/C41.csv"))(tmp_path)
     assert _every_command_error(tmp_path, capsys) == f"error: {tmp_path / 'judgment' / 'C41.csv'}: {message}\n"
+
+
+@pytest.mark.parametrize("broken, named", [("judgment/C2.csv", "judgment/C2.csv"),
+                                           ("judgment/C5.csv", "judgment/C41.csv")], ids=["C2", "C5"])
+def test_a_faulty_order_1_matrix_keeps_its_place_in_config_order(tmp_path, capsys, broken, named):
+    # C4's order-1 matrix is weighed with the others, so a fault in C2 is named before it
+    # and it is named before a fault in C5
+    _copy_demo(tmp_path)
+    _one_leaf_C4(tmp_path)
+    (tmp_path / "judgment" / "C41.csv").write_text("5\n")
+    _edit_json("config_before.json", lambda doc: doc["indicator_matrices"].update(C4="judgment/C41.csv"))(tmp_path)
+    _write(broken, "garbage,x\n")(tmp_path)
+    assert _every_command_error(tmp_path, capsys).startswith(f"error: {tmp_path / named}: ")
 
 
 def test_a_missing_config_is_named_first(tmp_path, capsys):
@@ -675,7 +688,7 @@ BROKEN_INPUTS = [
                  "reciprocity violated at cell (1,2)", id="C1-not-reciprocal"),
     pytest.param(_set_cells("judgment/C1.csv", (0, 1, "-3"), (1, 0, "-1/3")), [], "judgment/C1.csv",
                  "judgment matrix entries must be positive", id="C1-negative"),
-    pytest.param(_sixteen_leaves_in_C1, [], "judgment/C1.csv", "judgment matrix order must be in [2, 15], got 16",
+    pytest.param(_sixteen_leaves_in_C1, [], "judgment/C1.csv", "judgment matrix order must be in [1, 15], got 16",
                  id="C1-order-16"),
     pytest.param(_set_cells("indicators.csv", (1, 1, "nan")), [], "indicators.csv",
                  "non-finite value at object 'site1', indicator 'C11'", id="data-nan"),
