@@ -111,13 +111,16 @@ def json_value(path: str | Path, doc, key: str, convert, default=MISSING, where:
 
 def read_csv_rows(path: str | Path) -> list[list[str]]:
     """Every row of a UTF-8 CSV file; a csv parse error (such as a field over
-    `csv.field_size_limit()`) becomes a ValueError naming the file and line."""
+    `csv.field_size_limit()`) becomes a ValueError naming the file and line, and
+    a byte that is not UTF-8 one naming the file."""
     with open(path, newline="", encoding="utf-8") as f:
         reader = csv.reader(f)
         try:
             return list(reader)
         except csv.Error as e:
             raise ValueError(f"{path}: line {reader.line_num}: {e}") from None
+        except UnicodeDecodeError as e:
+            raise ValueError(f"{path}: {e}") from None
 
 
 def _parse_plain(path: str | Path) -> tuple[list[str], list[str], np.ndarray] | None:

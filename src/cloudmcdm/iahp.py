@@ -64,7 +64,7 @@ class RepairConfig:
     def __post_init__(self):
         if not 0.0 < self.sigma < 1.0:
             raise ValueError(f"sigma must lie in (0,1), got {self.sigma}")
-        if self.tau <= 0:
+        if not self.tau > 0:  # NaN fails too
             raise ValueError(f"tau must be positive, got {self.tau}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
@@ -166,8 +166,9 @@ def _references(p: np.ndarray) -> np.ndarray:
     (1 - p_it) * (1 - p_tj) read the same cells, so p and 1 - p are gathered as one
     stack, multiplied left to right (`reduceat`) and rooted with libm `math.pow`:
     the bits of rebuilding each cell alone with `np.prod` and a scalar power, which
-    the repair loop feeds back into itself. As every iterate keeps |logit p_ij| <=
-    (j - i) logit 0.9, each of at most 13 chains is >= e^-30.8 / 4: no product is 0."""
+    the repair loop feeds back into itself. Every iterate keeps |logit p_ij| <=
+    (j - i) logit 0.9, so each of at most 13 chains is >= e^-30.8 / 4 and their
+    product >= 1e-182: none is 0."""
     k, n, _ = p.shape
     left, right, starts, roots, upper, lower = _chain_plan(n)
     q = np.stack((p, 1.0 - p), axis=1).reshape(2 * k, -1)  # p, then 1 - p, of each relation

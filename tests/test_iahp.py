@@ -237,6 +237,19 @@ def test_distance_matches_brute_force():
 
 # -- repair step -------------------------------------------------------------
 
+@pytest.mark.parametrize("key, value, message", [
+    ("sigma", float("nan"), "sigma must lie in (0,1), got nan"),
+    ("sigma", 1.0, "sigma must lie in (0,1), got 1.0"),
+    ("tau", float("nan"), "tau must be positive, got nan"),
+    ("tau", 0.0, "tau must be positive, got 0.0"),
+    ("max_iter", 0, "max_iter must be at least 1"),
+])
+def test_repair_config_rejects_values_out_of_range(key, value, message):
+    with pytest.raises(ValueError) as e:
+        RepairConfig(**{key: value})
+    assert str(e.value) == message
+
+
 def test_repair_sigma_endpoints():
     p = pref_of(CYCLIC_3)
     pbar = reference_of(p)

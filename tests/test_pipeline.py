@@ -600,6 +600,11 @@ def _write(name: str, text: str):
     return lambda root: (root / name).write_text(text)
 
 
+def _latin1(name: str):
+    # an e-acute as Latin-1 writes it, byte 0xe9, at the end of the first line
+    return lambda root: (root / name).write_bytes((root / name).read_bytes().replace(b"\n", b"\xe9\n", 1))
+
+
 def _edit_json(name: str, edit):
     def apply(root: Path) -> None:
         path = root / name
@@ -658,6 +663,7 @@ BROKEN_INPUTS = [
     # a flag's value is not the file's fault
     pytest.param(lambda root: None, ["--sigma", "1.5"], None, "sigma must lie in (0,1), got 1.5",
                  id="sigma-flag-1.5"),
+    pytest.param(lambda root: None, ["--tau", "nan"], None, "tau must be positive, got nan", id="tau-flag-nan"),
     pytest.param(_edit_json("config_before.json", lambda doc: doc.update(aggregation="bogus")), [],
                  "config_before.json", "invalid value 'bogus' for key 'aggregation'", id="aggregation-bogus"),
     pytest.param(_edit_json("config_before.json", lambda doc: doc["indicator_matrices"].update(
@@ -690,6 +696,9 @@ BROKEN_INPUTS = [
                  "judgment matrix entries must be positive", id="C1-negative"),
     pytest.param(_sixteen_leaves_in_C1, [], "judgment/C1.csv", "judgment matrix order must be in [1, 15], got 16",
                  id="C1-order-16"),
+    # a Latin-1 byte is named with its file, whichever reader meets it
+    *[pytest.param(_latin1(name), [], name, "'utf-8' codec can't decode byte 0xe9", id=f"{name}-latin1")
+      for name in ("indicators.csv", "ratings_before.csv", "judgment/C1.csv")],
     pytest.param(_set_cells("indicators.csv", (1, 1, "nan")), [], "indicators.csv",
                  "non-finite value at object 'site1', indicator 'C11'", id="data-nan"),
     pytest.param(_keep_lines("indicators.csv", 2), [], "indicators.csv",
