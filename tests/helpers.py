@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import math
 from pathlib import Path
 
@@ -11,6 +12,37 @@ from cloudmcdm.iahp import SAATY_VALUES
 
 REPO = Path(__file__).resolve().parents[1]
 DEMO = REPO / "data" / "demo"
+
+
+def read_table(path: Path) -> list[list[str]]:
+    """Every row of a CSV file, each cell as written."""
+    with open(path, newline="", encoding="utf-8") as f:
+        return list(csv.reader(f))
+
+
+def edit_table(path: Path, edit) -> None:
+    """Rewrite a CSV file as `edit(rows)` returns its rows."""
+    rows = edit(read_table(path))
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        csv.writer(f, lineterminator="\n").writerows(rows)
+
+
+def permute_columns(perm):
+    """An `edit_table` edit: the id column stays first, the others move to `perm`'s order."""
+    return lambda rows: [[r[0], *(r[1 + k] for k in perm)] for r in rows]
+
+
+def permute_rows(perm):
+    """An `edit_table` edit: the header stays first, the data rows move to `perm`'s order."""
+    return lambda rows: [rows[0], *(rows[1 + k] for k in perm)]
+
+
+def map_column(column: str, fn):
+    """An `edit_table` edit: every cell of `column` below the header becomes repr(fn(float(cell)))."""
+    def edit(rows):
+        k = rows[0].index(column)
+        return [rows[0], *([*r[:k], repr(fn(float(r[k]))), *r[k + 1:]] for r in rows[1:])]
+    return edit
 
 
 def nearest_scale_index(v: float) -> int:
