@@ -171,7 +171,7 @@ def _references(p: np.ndarray) -> np.ndarray:
     product >= 1e-182: none is 0."""
     k, n, _ = p.shape
     left, right, starts, roots, upper, lower = _chain_plan(n)
-    q = np.stack((p, 1.0 - p), axis=1).reshape(2 * k, -1)  # p, then 1 - p, of each relation
+    q = np.concatenate((p, 1.0 - p), axis=1).reshape(2 * k, -1)  # p, then 1 - p, of each relation
     prods = np.multiply.reduceat(q[:, left] * q[:, right], starts, axis=1)
     powed = map(math.pow, prods.ravel().tolist(), roots.tolist() * 2 * k)
     a, b = np.fromiter(powed, float, prods.size).reshape(k, 2, -1).transpose(1, 0, 2)
