@@ -191,12 +191,16 @@ def aggregate_clouds(children: list[CloudParams], w, strategy: str = "linear") -
     ex = np.array([c.ex for c in children])
     en = np.array([c.en for c in children])
     he = np.array([c.he for c in children])
+    # a child's He > 0 implies its En > 0, but a tiny weight can round its En term to 0
+    # and not its He term; dropping that He term keeps the parent's En = 0 => He = 0
     if strategy == "linear":
+        he = np.where(weights * en > 0, he, 0.0)
         return CloudParams(float(weights @ ex), float(weights @ en), float(weights @ he))
+    en2 = weights**2 * en**2
     return CloudParams(
         float(weights @ ex),
-        float(np.sqrt(np.sum(weights**2 * en**2))),
-        float(np.sqrt(np.sum(weights**2 * he**2))),
+        float(np.sqrt(np.sum(en2))),
+        float(np.sqrt(np.sum(np.where(en2 > 0, weights**2 * he**2, 0.0)))),
     )
 
 

@@ -3,7 +3,9 @@
 Subjective and objective weight vectors span a two-dimensional cone; the fused
 weight is the conic combination that maximizes the total squared deviation of
 composite object scores, found as the dominant eigenvector of the projected
-quadratic form under a unit-norm constraint on the mixing coefficients.
+quadratic form under a unit-norm constraint on the mixing coefficients. Only
+that 2x2 form is built, from the composite scores under each weight vector;
+the n x n deviation matrix it projects is never formed.
 """
 
 from __future__ import annotations
@@ -24,20 +26,6 @@ class CombinationResult:
     combined: WeightVector              # simplex-normalized fused weights
 
 
-def deviation_matrix(z: DataMatrix) -> np.ndarray:
-    """B = sum over ordered object pairs (i, l) of (z_i - z_l)(z_i - z_l)^T.
-
-    Symmetric PSD; zero for a single object. Both orderings of each pair are
-    counted, so B = 2 * (sum over unordered pairs).
-    """
-    v = z.values
-    m = v.shape[0]
-    # sum_{i,l} (z_i - z_l)(z_i - z_l)^T = 2m * Z'Z - 2 (Z'1)(Z'1)'
-    s = v.sum(axis=0)
-    b = 2.0 * m * (v.T @ v) - 2.0 * np.outer(s, s)
-    return (b + b.T) / 2.0
-
-
 def combine_weights(ws: WeightVector, wo: WeightVector, z: DataMatrix) -> CombinationResult:
     """Fuse subjective and objective weights over the normalized data matrix.
 
@@ -50,12 +38,15 @@ def combine_weights(ws: WeightVector, wo: WeightVector, z: DataMatrix) -> Combin
     if ws.indicator_ids != wo.indicator_ids:
         raise ValueError("subjective and objective weights must share the same indicator order")
     w = np.column_stack([ws.weights, wo.weights])  # n x 2
-    b = deviation_matrix(z)
     if z.values.shape[1] != w.shape[0]:
         raise ValueError(
             f"data has {z.values.shape[1]} indicator columns but weights have {w.shape[0]}"
         )
-    m2 = w.T @ b @ w
+    # W' B W with B = sum over ordered object pairs (i, l) of (z_i - z_l)(z_i - z_l)',
+    # which is 2m Z'Z - 2 (Z'1)(Z'1)'; with Y = Z W it is 2m Y'Y - 2 (Y'1)(Y'1)'
+    y = z.values @ w  # m x 2
+    s = y.sum(axis=0)
+    m2 = 2.0 * len(y) * (y.T @ y) - 2.0 * np.outer(s, s)
     if np.allclose(m2, 0.0):
         theta = _FALLBACK_THETA.copy()
     else:

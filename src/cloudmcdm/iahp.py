@@ -1,24 +1,22 @@
 """Subjective weighting via AHP with automatic judgment-matrix repair.
 
 A reciprocal judgment matrix on the 1/9..9 scale is mapped to a complementary
-preference relation on the 0.1..0.9 scale, compared against a consistent
-reference built from geometric chains of intermediate comparisons, and pulled
-toward that reference until the Frobenius distance drops under a threshold.
-The repaired relation is mapped back to the 1/9..9 scale and the usual CR test
-is applied to the result. `weigh_judgments` repairs the matrices of one order
-in lockstep, with one power iteration per matrix for its CR and its weights;
-its reference, distance and pull steps are private kernels over such stacks.
-`auto_correct`, `consistency_ratio` and `principal_weights` are one-matrix calls.
-
-A checked relation sits on the knots, |logit p_ij| <= logit 0.9. The reference
-averages logit p_it + logit p_tj and the pull moves logit p linearly toward it, so
-every iterate keeps |logit p_ij| <= (j - i) logit 0.9 and no chain product is 0.
+preference relation on the 0.1..0.9 scale and pulled toward its multiplicatively
+transitive reference (Tanino 1984; Chiclana et al. 2009), logit r_i - r_j with r
+the row means of logit p: the mean of the chains logit p_it + logit p_tj over
+every item t. Each pull moves logit p linearly toward it and keeps its row means,
+so the reference is built once. The pulls stop once the Frobenius distance drops
+under a threshold; the relation is mapped back to the 1/9..9 scale and the usual
+CR test applied. Relisting the items relists the result. A checked relation has
+|logit p_ij| <= logit 0.9, so the reference and every iterate stay under twice it.
+`weigh_judgments` repairs the matrices of one order in lockstep, with private
+kernels over stacks of upper triangles and one power iteration per matrix for
+its CR and weights; `auto_correct`, `consistency_ratio` and `principal_weights`
+are one-matrix calls.
 """
 
 from __future__ import annotations
 
-import functools
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -66,6 +64,8 @@ class RepairConfig:
             raise ValueError(f"sigma must lie in (0,1), got {self.sigma}")
         if not self.tau > 0:  # NaN fails too
             raise ValueError(f"tau must be positive, got {self.tau}")
+        if self.tau == float("inf"):  # every distance is under it, so no matrix would be repaired
+            raise ValueError(f"tau must be positive and finite, got {self.tau}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
 
@@ -125,72 +125,61 @@ def to_preference(j: np.ndarray) -> np.ndarray:
 
 
 def from_preference(p: np.ndarray) -> np.ndarray:
-    """Piecewise-linear inverse of the scale table.
+    """Piecewise-linear inverse of the scale table, of one relation or a (k, n, n) stack.
 
-    Upper-triangle values are interpolated between adjacent knots; the lower
-    triangle is rebuilt exactly via r_ji = 1 / r_ij so reciprocity holds.
+    Each upper-triangle value p is mapped through max(p, 1 - p), interpolated
+    between adjacent knots of 0.5..0.9 -> 1..9, and inverted where p < 0.5, so p
+    and 1 - p map to reciprocals (1 - p is exact on the knots below 0.5). The
+    lower triangle is rebuilt exactly via r_ji = 1 / r_ij so reciprocity holds.
     """
-    p = _check_square(p, "preference relation")
-    if (p < 0.1 - _SCALE_TOL).any() or (p > 0.9 + _SCALE_TOL).any():
-        i, k = np.argwhere((p < 0.1 - _SCALE_TOL) | (p > 0.9 + _SCALE_TOL))[0]
-        raise ValueError(f"preference value {float(p[i, k])} at cell ({i + 1},{k + 1}) outside [0.1, 0.9]")
-    p = np.clip(p, 0.1, 0.9)
-    n = p.shape[0]
-    i, k = np.triu_indices(n, 1)
-    upper = np.interp(p[i, k], PREFERENCE_VALUES, SAATY_VALUES)
-    j = np.ones((n, n))
-    j[i, k] = upper
-    j[k, i] = 1.0 / upper
+    p = np.asarray(p, dtype=float)
+    if p.ndim not in (2, 3) or p.shape[-1] != p.shape[-2]:
+        raise ValueError(f"preference relation must be square, got shape {p.shape}")
+    bad = (p < 0.1 - _SCALE_TOL) | (p > 0.9 + _SCALE_TOL)
+    if bad.any():
+        cell = tuple(np.argwhere(bad)[0])
+        raise ValueError(f"preference value {float(p[cell])} at cell ({cell[-2] + 1},{cell[-1] + 1}) "
+                         "outside [0.1, 0.9]")
+    i, k = _upper(p.shape[-1])
+    u = np.clip(p[..., i, k], 0.1, 0.9)
+    r = np.interp(np.maximum(u, 1.0 - u), PREFERENCE_VALUES[8:], SAATY_VALUES[8:])
+    upper = np.where(u < 0.5, 1.0 / r, r)
+    j = np.ones(p.shape)
+    j[..., i, k] = upper
+    j[..., k, i] = 1.0 / upper
     return j
 
 
-@functools.cache
-def _chain_plan(n: int) -> tuple[np.ndarray, ...]:
-    """Gather plan of every chain of an order-n relation (none below order 3): flat
-    indices of each chain's factors p_it and p_tj, cell by cell with no padding, the
-    offset of each cell's first chain, its root 1/(j-i-1), and the flat indices of
-    the cells (i, j), j >= i+2, in row-major order and of their mirrors (j, i)."""
-    i, j = np.triu_indices(n, 2)
-    width = j - i - 1  # chains of each cell
-    cell, starts = np.repeat(np.arange(len(i)), width), np.cumsum(width) - width
-    t = i[cell] + 1 + np.arange(len(cell)) - starts[cell]
-    plan = (i[cell] * n + t, t * n + j[cell], starts, 1.0 / width, i * n + j, j * n + i)
-    for a in plan:
-        a.flags.writeable = False
-    return plan
+def _upper(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the cells above the diagonal, in row-major order."""
+    return np.nonzero(np.less.outer(np.arange(n), np.arange(n)))
 
 
-def _references(p: np.ndarray) -> np.ndarray:
-    """Consistent references of a (k, n, n) stack of checked relations or their
-    repair iterates. A cell's numerator chains p_it * p_tj and denominator chains
-    (1 - p_it) * (1 - p_tj) read the same cells, so p and 1 - p are gathered as one
-    stack, multiplied left to right (`reduceat`) and rooted with libm `math.pow`:
-    the bits of rebuilding each cell alone with `np.prod` and a scalar power, which
-    the repair loop feeds back into itself. Every iterate keeps |logit p_ij| <=
-    (j - i) logit 0.9, so each of at most 13 chains is >= e^-30.8 / 4 and their
-    product >= 1e-182: none is 0."""
-    k, n, _ = p.shape
-    left, right, starts, roots, upper, lower = _chain_plan(n)
-    q = np.concatenate((p, 1.0 - p), axis=1).reshape(2 * k, -1)  # p, then 1 - p, of each relation
-    prods = np.multiply.reduceat(q[:, left] * q[:, right], starts, axis=1)
-    powed = map(math.pow, prods.ravel().tolist(), roots.tolist() * 2 * k)
-    a, b = np.fromiter(powed, float, prods.size).reshape(k, 2, -1).transpose(1, 0, 2)
-    v = a / (a + b)
-    flat = p.reshape(k, -1).copy()
-    flat[:, upper] = v
-    flat[:, lower] = 1.0 - v
-    return flat.reshape(p.shape)
+def _references(x: np.ndarray, n: int) -> np.ndarray:
+    """Log-odds of the consistent references of a (k, m) stack of order-n relations,
+    each given as its upper-triangle log-odds x_ij, i < j, in row-major order:
+    r_i - r_j, with r_i the mean of row i of the antisymmetric matrix of x."""
+    i, j = _upper(n)
+    full = np.zeros((len(x), n, n))
+    full[:, i, j], full[:, j, i] = x, -x
+    r = full.sum(axis=2) / n
+    return r[:, i] - r[:, j]
+
+
+def _probabilities(x: np.ndarray) -> np.ndarray:
+    return 1.0 / (1.0 + np.exp(-x))
 
 
 def _distances(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.sum((np.abs(p - q) ** 2).reshape(len(p), -1), axis=1))
+    """Frobenius distances between relations given as (k, m) upper triangles; their
+    lower triangles, 1 - p and 1 - q, add as much again. Fancy indexing leaves the
+    stacks column-major; each row is summed contiguous, as a stack of one is."""
+    return np.sqrt(2.0 * np.sum(np.ascontiguousarray(p - q) ** 2, axis=1))
 
 
-def _pull(p: np.ndarray, pbar: np.ndarray, sigma: float) -> np.ndarray:
-    """One repair step toward pbar: a log-odds interpolation, so complementarity holds."""
-    num = p ** (1.0 - sigma) * pbar**sigma
-    den = (1.0 - p) ** (1.0 - sigma) * (1.0 - pbar) ** sigma
-    return num / (num + den)
+def _pull(x: np.ndarray, xbar: np.ndarray, sigma: float) -> np.ndarray:
+    """One repair step toward the reference, linear in log-odds."""
+    return (1.0 - sigma) * x + sigma * xbar
 
 
 def weigh_judgments(matrices, cfg: RepairConfig | None = None) -> list[tuple | ValueError | RepairError]:
@@ -198,9 +187,11 @@ def weigh_judgments(matrices, cfg: RepairConfig | None = None) -> list[tuple | V
     `auto_correct` raises for it alone, with the bits of a one-matrix call.
 
     Each matrix is checked once. Those of one order are repaired in lockstep:
-    each sweep builds the references of all still repairing in one pass, and a
-    matrix leaves once its distance is under tau or max_iter steps are spent.
-    One stacked power iteration per order gives lambda_max and the weights."""
+    their references are built once, each sweep measures the distances of all
+    still repairing and pulls them in one pass, and a matrix leaves once its
+    distance is under tau or max_iter steps are spent. One stacked
+    `from_preference` and one stacked power iteration per order give the
+    repaired matrices, lambda_max and the weights."""
     cfg = cfg or RepairConfig()
     out: list = [None] * len(matrices)
     traces = [RepairTrace() for _ in matrices]
@@ -214,12 +205,16 @@ def weigh_judgments(matrices, cfg: RepairConfig | None = None) -> list[tuple | V
         else:
             groups.setdefault(len(p), {})[k] = p
     for n, members in groups.items():
+        i, j = _upper(n)
         done: dict[int, np.ndarray] = {}
-        live, p = np.array(list(members)), np.stack(list(members.values()))
+        live = np.array(list(members))
+        p = np.stack(list(members.values()))[:, i, j]  # upper triangles: each lower one is 1 - its upper
+        x = np.log(p / (1.0 - p))
+        xbar = _references(x, n)
+        pbar = _probabilities(xbar)
         while live.size:
-            ref = _references(p)
             keep = []
-            for r, (k, d) in enumerate(zip(live.tolist(), _distances(p, ref).tolist())):
+            for r, (k, d) in enumerate(zip(live.tolist(), _distances(p, pbar).tolist())):
                 traces[k].distances.append(d)
                 if d < cfg.tau:
                     done[k] = p[r]
@@ -228,15 +223,20 @@ def weigh_judgments(matrices, cfg: RepairConfig | None = None) -> list[tuple | V
                                          f"iterations (last d = {d:.4f})", traces[k])
                 else:
                     keep.append(r)
-            live, p = live[keep], _pull(p[keep], ref[keep], cfg.sigma)
+            live, x, xbar, pbar = live[keep], _pull(x[keep], xbar[keep], cfg.sigma), xbar[keep], pbar[keep]
+            p = _probabilities(x)
         if not done:
             continue
-        # repaired relations can drift past the 0.9 knot; clamp back onto the
-        # table's domain (bounds symmetric around 0.5, so complementarity holds)
-        repaired = np.stack([from_preference(np.clip(q, 0.1, 0.9)) if traces[k].iterations
-                             else np.asarray(matrices[k], dtype=float) for k, q in done.items()])
+        ks = list(done)
+        repaired = np.stack([np.asarray(matrices[k], dtype=float) for k in ks])
+        moved = [r for r, k in enumerate(ks) if traces[k].iterations]
+        if moved:  # iterates can pass the 0.9 knot; clamp them back onto the table's domain
+            q = np.full((len(moved), n, n), 0.5)
+            q[:, i, j] = np.clip([done[ks[r]] for r in moved], 0.1, 0.9)
+            q[:, j, i] = 1.0 - q[:, i, j]
+            repaired[moved] = from_preference(q)
         weights, lam = _power_iteration(repaired)
-        for k, a, w, lk in zip(done, repaired, weights, lam.tolist()):
+        for k, a, w, lk in zip(ks, repaired, weights, lam.tolist()):
             cr = traces[k].final_cr = _ratios(lk, n)[2]
             out[k] = ((a, w, traces[k]) if cr < 0.1 else
                       RepairError(f"repaired matrix still fails the CR test (CR = {cr:.4f})", traces[k]))

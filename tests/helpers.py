@@ -37,6 +37,11 @@ def permute_rows(perm):
     return lambda rows: [rows[0], *(rows[1 + k] for k in perm)]
 
 
+def permute_matrix(perm):
+    """An `edit_table` edit for a judgment matrix: its items relisted in `perm`'s order."""
+    return lambda rows: [[rows[i][k] for k in perm] for i in perm]
+
+
 def map_column(column: str, fn):
     """An `edit_table` edit: every cell of `column` below the header becomes repr(fn(float(cell)))."""
     def edit(rows):
@@ -68,6 +73,21 @@ def perturbed_judgment(n: int, rng: np.random.Generator, wobble: int = 3) -> np.
             j[i, k] = SAATY_VALUES[idx]
             j[k, i] = 1.0 / j[i, k]
     return j
+
+
+def deviation_matrix(z) -> np.ndarray:
+    """B = sum over ordered object pairs (i, l) of (z_i - z_l)(z_i - z_l)^T of a
+    DataMatrix z: the n x n form whose 2x2 projection combine_weights maximizes.
+
+    Symmetric PSD; zero for a single object. Both orderings of each pair are
+    counted, so B = 2 * (sum over unordered pairs).
+    """
+    v = z.values
+    m = v.shape[0]
+    # sum_{i,l} (z_i - z_l)(z_i - z_l)^T = 2m * Z'Z - 2 (Z'1)(Z'1)'
+    s = v.sum(axis=0)
+    b = 2.0 * m * (v.T @ v) - 2.0 * np.outer(s, s)
+    return (b + b.T) / 2.0
 
 
 def assert_floats_close(got, want, rel: float = 0.0, abs: float = 0.0, where: str = "") -> None:

@@ -6,7 +6,7 @@ import numpy as np
 
 from cloudmcdm.cli import main as cli_main
 from cloudmcdm.cloud import CloudParams, DEFAULT_SCHEME, assign_grade, forward_cloud, cloud_similarity, indicator_cloud
-from cloudmcdm.combiner import combine_weights, deviation_matrix
+from cloudmcdm.combiner import combine_weights
 from cloudmcdm.dataprep import DataMatrix
 from cloudmcdm.ewm import WeightVector, entropy_weights
 from cloudmcdm.iahp import (
@@ -21,7 +21,7 @@ from cloudmcdm.iahp import (
 )
 from cloudmcdm.pipeline import compare_scenarios
 
-from helpers import DEMO, consistent_judgment, perturbed_judgment
+from helpers import DEMO, consistent_judgment, deviation_matrix, perturbed_judgment
 
 
 def verdict(num, name, ok, detail=""):

@@ -2,7 +2,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import REPO
@@ -328,6 +328,10 @@ def simplex(n: int):
 @settings(max_examples=200, deadline=None)
 @given(st.lists(CLOUDS, min_size=1, max_size=15).flatmap(lambda cs: st.tuples(st.just(cs), simplex(len(cs)))),
        st.sampled_from(AGGREGATIONS))
+# a weight so small that the child's En term rounds to 0 and its He term does not
+@example(([CloudParams(0.0, 0.001953125, 1.0), CloudParams(0.0, 0.0, 0.0)], np.array([4.45433691e-160, 1.0])),
+         "quadratic")
+@example(([CloudParams(0.0, 1e-6, 20.0), CloudParams(0.0, 0.0, 0.0)], np.array([5e-324, 1.0])), "linear")
 def test_aggregated_ex_lies_within_children_range(case, strategy):
     children, w = case
     ex = [c.ex for c in children]

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from cloudmcdm.combiner import combine_weights, deviation_matrix
+from cloudmcdm.combiner import combine_weights
 from cloudmcdm.dataprep import DataMatrix
 from cloudmcdm.ewm import WeightVector
+
+from helpers import deviation_matrix
 
 
 def matrix(values):

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import DEMO, assert_floats_close, edit_table, map_column, permute_columns, permute_rows, read_table
+from helpers import (DEMO, assert_floats_close, edit_table, map_column, permute_columns, permute_matrix,
+                     permute_rows, read_table)
 
 from cloudmcdm.pipeline import EvaluationReport, compare_scenarios, run_pipeline
 
@@ -83,6 +84,33 @@ def test_scaling_a_data_column_keeps_every_float_within_1e_12(case):
     def relation(leaf):
         edited = run_edited(case, lambda root: edit_table(root / case.data, map_column(leaf, lambda v: v * 1000)))
         assert_floats_close(edited.to_dict(), case.report.to_dict(), abs=1e-12)
+
+
+def test_relisting_criteria_and_leaves_keeps_every_weight_within_1e_12(case):
+    # the hierarchy lists the criteria and each criterion's leaves in a new order, and
+    # every judgment matrix lists its items to match: a weight belongs to its id, so
+    # only the order that sums run in may move it
+    config = json.loads((case.root / case.config).read_text())
+    doc = json.loads((case.root / config["hierarchy"]).read_text())
+    criteria = doc["root"]["children"]
+
+    @check(case, st.data())
+    def relation(data):
+        order = data.draw(st.permutations(range(len(criteria))))
+        leaves = [data.draw(st.permutations(range(len(c["children"])))) for c in criteria]
+
+        def relist(root: Path) -> None:
+            edit_table(root / config["criterion_matrix"], permute_matrix(order))
+            for c, perm in zip(criteria, leaves):
+                if c["id"] in config["indicator_matrices"]:
+                    edit_table(root / config["indicator_matrices"][c["id"]], permute_matrix(perm))
+            relisted = [dict(c, children=[c["children"][k] for k in perm]) for c, perm in zip(criteria, leaves)]
+            doc["root"]["children"] = [relisted[k] for k in order]
+            (root / config["hierarchy"]).write_text(json.dumps(doc))
+
+        got, want = run_edited(case, relist).to_dict(), case.report.to_dict()
+        assert_floats_close(got["weights"], want["weights"], abs=1e-12)
+        assert got["grade"] == want["grade"]
 
 
 def _flip_direction(leaf: str):

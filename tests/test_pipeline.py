@@ -664,6 +664,8 @@ BROKEN_INPUTS = [
     pytest.param(lambda root: None, ["--sigma", "1.5"], None, "sigma must lie in (0,1), got 1.5",
                  id="sigma-flag-1.5"),
     pytest.param(lambda root: None, ["--tau", "nan"], None, "tau must be positive, got nan", id="tau-flag-nan"),
+    pytest.param(lambda root: None, ["--tau", "inf"], None, "tau must be positive and finite, got inf",
+                 id="tau-flag-inf"),
     pytest.param(_edit_json("config_before.json", lambda doc: doc.update(aggregation="bogus")), [],
                  "config_before.json", "invalid value 'bogus' for key 'aggregation'", id="aggregation-bogus"),
     pytest.param(_edit_json("config_before.json", lambda doc: doc["indicator_matrices"].update(
@@ -752,7 +754,7 @@ def _unrepairable(name: str):
 # how to break a judgment file, and the message that names it
 JUDGMENT_FAULTS = {
     "unrepairable": (_unrepairable, "judgment-matrix repair failed: repaired matrix still fails the CR test "
-                                    "(CR = 0.4938)"),
+                                    "(CR = 0.3126)"),
     "off-scale": (lambda name: _set_cells(name, (0, 1, "2.5"), (1, 0, "0.4")),
                   "at cell (1,2) is not on the 1/9..9 scale"),
     "malformed": (lambda name: _write(name, "garbage,x\n"), "row 1 has 2 entries, expected 1"),
