@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
-from .dataprep import json_float, json_value, read_json
+from .dataprep import CheckedRecord, json_float, json_value, read_json
 
 # Fewest droplets per direction that a similarity estimate, and fewest rows that an
 # evaluation's droplets.csv, may rest on.
@@ -31,38 +32,33 @@ MIN_DROPLETS = 1000
 MIN_SAMPLES = 10
 
 
-@dataclass(frozen=True)
-class CloudParams:
-    ex: float
-    en: float
-    he: float
+class CloudParams(CheckedRecord, namedtuple("CloudParams", "ex en he")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("ex", "en", "he"):  # floats, so an En = 0 cloud's droplets are float64 too
-            value = float(getattr(self, name))
-            if not np.isfinite(value):
-                raise ValueError(f"{name.capitalize()} must be finite, got {value}")
-            object.__setattr__(self, name, value)
-        if self.en < 0 or self.he < 0:
+    def __new__(cls, ex: float, en: float, he: float):
+        ex, en, he = float(ex), float(en), float(he)  # floats, so an En = 0 cloud's droplets are float64 too
+        if not (math.isfinite(ex) and math.isfinite(en) and math.isfinite(he)):
+            name, value = next((n, v) for n, v in zip(("Ex", "En", "He"), (ex, en, he)) if not math.isfinite(v))
+            raise ValueError(f"{name} must be finite, got {value}")
+        if en < 0 or he < 0:
             raise ValueError("En and He must be nonnegative")
-        if self.en == 0 and self.he > 0:
+        if en == 0 and he > 0:
             raise ValueError("En = 0 with He > 0: entropy draws centered at 0 are ill-defined")
+        return tuple.__new__(cls, (ex, en, he))
 
 
-@dataclass(frozen=True)
-class DropletSet:
+class DropletSet(NamedTuple):
     x: np.ndarray
     mu: np.ndarray
 
 
-@dataclass(frozen=True)
-class GradeScheme:
+class GradeScheme(CheckedRecord, namedtuple("GradeScheme", "bands he_ratio", defaults=(0.1,))):
     """Ordered, uniquely labelled grade bands covering [0,100] without gaps or overlaps."""
 
-    bands: tuple[tuple[str, float, float], ...]
-    he_ratio: float = 0.1
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.he_ratio <= 0:
             raise ValueError("he_ratio must be positive")
         if not self.bands:
@@ -78,6 +74,7 @@ class GradeScheme:
             prev_hi = hi
         if abs(prev_hi - 100.0) > 1e-12:
             raise ValueError(f"bands must cover up to 100, last ends at {prev_hi}")
+        return self
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -105,7 +102,7 @@ def load_scheme(path: str | Path) -> GradeScheme:
     bands = tuple(tuple(json_value(path, band, key, convert, where=f"bands[{k}]")
                         for key, convert in (("label", str), ("lower", json_float), ("upper", json_float)))
                   for k, band in enumerate(json_value(path, doc, "bands", list)))
-    he_ratio = json_value(path, doc, "he_ratio", json_float, GradeScheme.he_ratio)
+    he_ratio = json_value(path, doc, "he_ratio", json_float, GradeScheme._field_defaults["he_ratio"])
     try:
         return GradeScheme(bands=bands, he_ratio=he_ratio)
     except ValueError as e:

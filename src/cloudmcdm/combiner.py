@@ -10,7 +10,7 @@ the n x n deviation matrix it projects is never formed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,8 +20,7 @@ from .ewm import WeightVector
 _FALLBACK_THETA = np.array([1.0, 1.0]) / np.sqrt(2.0)
 
 
-@dataclass(frozen=True)
-class CombinationResult:
+class CombinationResult(NamedTuple):
     theta: tuple[float, float]          # (subjective, objective) mixing coefficients
     combined: WeightVector              # simplex-normalized fused weights
 

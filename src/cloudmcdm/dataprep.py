@@ -5,28 +5,32 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import MISSING, dataclass
+from collections import namedtuple
 from pathlib import Path
 
 import numpy as np
 
+MISSING = object()  # json_value's "no default given", as None is a default a caller may give
 
-@dataclass(frozen=True)
-class DataMatrix:
+
+class CheckedRecord:
+    """Mixin for a NamedTuple whose `__new__` checks its fields, so that `_replace` checks them too."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
+
+class DataMatrix(CheckedRecord, namedtuple("DataMatrix", "object_ids indicator_ids values")):
     """m evaluation objects (rows) x n indicators (columns), raw units."""
 
-    object_ids: tuple[str, ...]
-    indicator_ids: tuple[str, ...]
-    values: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", v)
-        if v.shape != (len(self.object_ids), len(self.indicator_ids)):
-            raise ValueError(
-                f"values shape {v.shape} does not match "
-                f"{len(self.object_ids)} objects x {len(self.indicator_ids)} indicators"
-            )
+    def __new__(cls, object_ids: tuple[str, ...], indicator_ids: tuple[str, ...], values: np.ndarray):
+        v = np.asarray(values, dtype=float)
+        if v.shape != (len(object_ids), len(indicator_ids)):
+            raise ValueError(f"values shape {v.shape} does not match "
+                             f"{len(object_ids)} objects x {len(indicator_ids)} indicators")
+        return tuple.__new__(cls, (object_ids, indicator_ids, v))
 
 
 def min_max_normalize(d: DataMatrix, cost: list[bool] | np.ndarray) -> DataMatrix:

@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
-from .dataprep import DataMatrix
+from .dataprep import CheckedRecord, DataMatrix
 
 _SIMPLEX_TOL = 1e-9
 
@@ -14,20 +14,18 @@ _SIMPLEX_TOL = 1e-9
 MIN_OBJECTS = 2
 
 
-@dataclass(frozen=True)
-class WeightVector:
-    indicator_ids: tuple[str, ...]
-    weights: np.ndarray
+class WeightVector(CheckedRecord, namedtuple("WeightVector", "indicator_ids weights")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        object.__setattr__(self, "weights", w)
-        if w.shape != (len(self.indicator_ids),):
+    def __new__(cls, indicator_ids: tuple[str, ...], weights: np.ndarray):
+        w = np.asarray(weights, dtype=float)
+        if w.shape != (len(indicator_ids),):
             raise ValueError("weight count does not match indicator count")
         if (w < -_SIMPLEX_TOL).any():
             raise ValueError("weights must be nonnegative")
         if abs(w.sum() - 1.0) > _SIMPLEX_TOL:
             raise ValueError(f"weights must sum to 1, got {float(w.sum())}")
+        return tuple.__new__(cls, (indicator_ids, w))
 
     def as_dict(self) -> dict[str, float]:
         return {i: float(w) for i, w in zip(self.indicator_ids, self.weights)}

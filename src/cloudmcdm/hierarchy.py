@@ -14,8 +14,8 @@ direction as written; `validate_hierarchy` judges them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .dataprep import read_json
 
@@ -24,8 +24,7 @@ DIRECTIONS = ("benefit", "cost")
 MAX_ID_LEN = 32
 
 
-@dataclass(frozen=True)
-class IndicatorNode:
+class IndicatorNode(NamedTuple):
     id: str
     label: str
     layer: str
@@ -34,8 +33,7 @@ class IndicatorNode:
     children: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class IndexHierarchy:
+class IndexHierarchy(NamedTuple):
     """A tree built by `parse_hierarchy` or `load_hierarchy`, which fix its shape."""
     nodes: dict[str, IndicatorNode]
     root_id: str

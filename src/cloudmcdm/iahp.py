@@ -17,13 +17,13 @@ are one-matrix calls.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
+import re
+from collections import namedtuple
 from pathlib import Path
 
 import numpy as np
 
-from .dataprep import read_csv_rows
+from .dataprep import CheckedRecord, read_csv_rows
 from .ewm import WeightVector
 
 # scale knots: 1/9 .. 9 <-> 0.1 .. 0.9 in steps of 0.05
@@ -53,13 +53,12 @@ class RepairError(RuntimeError):
         self.trace = trace
 
 
-@dataclass(frozen=True)
-class RepairConfig:
-    sigma: float = 0.8   # pull strength toward the consistent reference
-    tau: float = 0.1     # acceptance threshold on the distance metric
-    max_iter: int = 20
+# sigma: pull strength toward the consistent reference; tau: acceptance threshold on the distance metric
+class RepairConfig(CheckedRecord, namedtuple("RepairConfig", "sigma tau max_iter", defaults=(0.8, 0.1, 20))):
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not 0.0 < self.sigma < 1.0:
             raise ValueError(f"sigma must lie in (0,1), got {self.sigma}")
         if not self.tau > 0:  # NaN fails too
@@ -68,12 +67,17 @@ class RepairConfig:
             raise ValueError(f"tau must be positive and finite, got {self.tau}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
+        return self
 
 
-@dataclass
 class RepairTrace:
-    distances: list[float] = field(default_factory=list)
-    final_cr: float | None = None
+    """One matrix's distance before each repair step, then its CR once repaired."""
+
+    __slots__ = ("distances", "final_cr")
+
+    def __init__(self):
+        self.distances: list[float] = []
+        self.final_cr: float | None = None
 
     @property
     def iterations(self) -> int:
@@ -276,14 +280,17 @@ def _power_iteration(a: np.ndarray, tol: float = 1e-12, max_sweeps: int = 10_000
     matrix stops at its own sweep, so it gets the bits a stack of one would."""
     k, n, _ = a.shape
     v, live = np.full((k, n), 1.0 / n), np.arange(k)
+    a_live, v_live = a[live], v[live]  # the matrices still moving, copied again only when one stops
     for _ in range(max_sweeps):
-        av = (a[live] @ v[live, :, None])[..., 0]
+        av = (a_live @ v_live[..., None])[..., 0]
         nxt = av / av.sum(axis=1, keepdims=True)
-        moving = ~(np.abs(nxt - v[live]).max(axis=1) < tol)
-        v[live] = nxt
-        live = live[moving]
-        if not live.size:
-            break
+        moving = ~(np.abs(nxt - v_live).max(axis=1) < tol)
+        if not moving.all():
+            v[live] = nxt
+            live, a_live, nxt = live[moving], a_live[moving], nxt[moving]
+            if not live.size:
+                break
+        v_live = nxt
     else:
         raise RuntimeError("power iteration did not converge")
     av = (a @ v[..., None])[..., 0]
@@ -305,13 +312,13 @@ def consistency_ratio(j: np.ndarray) -> tuple[float, float, float]:
 
 
 def parse_scale_value(token: str) -> float:
-    """Parse a judgment entry: decimal or a fraction token like '1/7'."""
+    """A judgment entry: a decimal as float() reads it, or a fraction a/b of integers (digits with
+    single underscores, a sign on a only, spaces around '/') by correctly rounded int division."""
     token = token.strip()
+    fraction = re.fullmatch(r"([-+]?\d+(?:_\d+)*)\s*/\s*(\d+(?:_\d+)*)", token) if "/" in token else None
     try:
-        if "/" in token:
-            return float(Fraction(token))
-        return float(token)
-    except (ValueError, ZeroDivisionError):
+        return int(fraction[1]) / int(fraction[2]) if fraction else float(token)
+    except (ValueError, ZeroDivisionError, OverflowError):  # OverflowError: a quotient too large for a float
         raise ValueError(f"cannot parse judgment entry {token!r}") from None
 
 

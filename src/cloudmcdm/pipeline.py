@@ -12,11 +12,10 @@ droplets.csv may differ in the last digit across numpy builds and CPUs.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
-from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,7 +35,7 @@ from .cloud import (
     load_scheme,
 )
 from .combiner import combine_weights
-from .dataprep import (DataMatrix, json_float, json_int, json_object, json_value, load_data_csv,
+from .dataprep import (MISSING, DataMatrix, json_float, json_int, json_object, json_value, load_data_csv,
                        min_max_normalize, read_json)
 from .ewm import MIN_OBJECTS, WeightVector, entropy_weights
 from .fce import fce_score, membership_matrix
@@ -53,8 +52,7 @@ ENV_SEED = "CLOUDMCDM_SEED"
 REPORT_DIGITS = 12
 
 
-@dataclass(frozen=True)
-class PipelineConfig:
+class PipelineConfig(NamedTuple):
     scenario: str
     hierarchy: Path
     criterion_matrix: Path
@@ -100,7 +98,7 @@ class PipelineConfig:
         def repair_value(key, convert):
             # RepairConfig checks the file's value on its own, so that an error names the key
             return value(key, lambda v: getattr(RepairConfig(**{key: convert(v)}), key),
-                         getattr(RepairConfig, key))
+                         RepairConfig._field_defaults[key])
 
         def natural(v):  # numpy's SeedSequence rejects a negative seed
             if json_int(v) < 0:
@@ -130,8 +128,8 @@ class PipelineConfig:
             ratings=value("ratings", base.joinpath),
             scheme=value("scheme", base.joinpath) if "scheme" in doc else None,
             seed=int(seed),
-            droplets=value("droplets", json_int, PipelineConfig.droplets),
-            aggregation=value("aggregation", aggregation, PipelineConfig.aggregation),
+            droplets=value("droplets", json_int, PipelineConfig._field_defaults["droplets"]),
+            aggregation=value("aggregation", aggregation, PipelineConfig._field_defaults["aggregation"]),
             repair=RepairConfig(sigma=file_sigma if sigma is None else float(sigma),
                                 tau=file_tau if tau is None else float(tau),
                                 max_iter=repair_value("max_iter", json_int)),
@@ -143,8 +141,7 @@ class PipelineConfig:
         return cfg
 
 
-@dataclass
-class PipelineInputs:
+class PipelineInputs(NamedTuple):
     hierarchy: IndexHierarchy
     leaves: list[str]
     data: DataMatrix
@@ -154,8 +151,7 @@ class PipelineInputs:
     subjective: dict[str, WeightVector]  # see _subjective_weights
 
 
-@dataclass
-class WeightSet:
+class WeightSet(NamedTuple):
     theta: tuple[float, float]
     criterion: dict[str, WeightVector]           # kind -> weights over criterion ids
     indicator_global: dict[str, WeightVector]    # kind -> weights over all leaves
@@ -173,8 +169,7 @@ class WeightSet:
         }
 
 
-@dataclass
-class EvaluationReport:
+class EvaluationReport(NamedTuple):
     scenario: str
     seed: int
     aggregation: str
@@ -190,7 +185,7 @@ class EvaluationReport:
 
     def to_dict(self) -> dict:
         """One key per field, in field order; the values are shared, not copied."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return self._asdict()
 
     def to_json_bytes(self) -> bytes:
         """The report.json bytes: sorted keys, every float at REPORT_DIGITS
@@ -226,6 +221,7 @@ def hierarchy_digest(h: IndexHierarchy) -> str:
             for nid, n in sorted(h.nodes.items())
         },
     }
+    import hashlib  # local import: only evaluate takes a digest
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
 
 

@@ -130,6 +130,16 @@ def test_non_finite_entropy_rejected(field, value):
         CloudParams(**params)
 
 
+def test_checked_records_check_a_replaced_field():
+    # _replace builds through the same checks and conversions as the constructor
+    c = CloudParams(70, 4, 1)
+    assert c._replace(ex=71) == (71.0, 4.0, 1.0) and type(c._replace(ex=71).ex) is float
+    with pytest.raises(ValueError, match="En and He must be nonnegative"):
+        c._replace(he=-1)
+    with pytest.raises(ValueError, match="he_ratio must be positive"):
+        DEFAULT_SCHEME._replace(he_ratio=0)
+
+
 def test_entropy_draws_positive():
     _, enp = _droplets(CloudParams(50, 1, 3), 10_000, _rng(5))  # heavy truncation
     assert (enp > 0).all()

@@ -65,15 +65,26 @@ def test_demo_dataset_builder_reproduces_the_shipped_data(tmp_path):
         assert (built / rel).read_bytes() == (DEMO / rel).read_bytes(), rel
 
 
-def test_orjson_loads_only_with_the_droplet_writer():
-    # orjson formats droplets.csv and diagram.svg; importing the CLI and the plot
-    # module, and the commands that write neither (validate, weights), leave it unloaded
-    code = ("import sys, contextlib, io\n"
+# stdlib and third-party modules that importing the CLI and the plot module adds nothing
+# for: the records are NamedTuples, not dataclasses; judgment fractions parse without
+# `fractions` (and its `decimal`); and the report digest and the droplet writer import
+# hashlib and orjson when they run
+UNUSED_AT_IMPORT = ("dataclasses", "fractions", "decimal", "hashlib", "orjson")
+
+
+def test_import_and_the_reading_commands_leave_unused_modules_unloaded():
+    # numpy is imported first: numpy 1.24 loads numpy.random on import, and with it hmac
+    # and hashlib, so only what cloudmcdm adds on top counts. The commands that write no
+    # file (validate, weights) take no digest and write no droplets.
+    code = ("import sys, contextlib, io, numpy\n"
+            "before = set(sys.modules)\n"
             "import cloudmcdm.cli as cli, cloudmcdm.svgplot\n"
-            "assert 'orjson' not in sys.modules, 'import'\n"
+            f"loaded = sorted(set({UNUSED_AT_IMPORT!r}) & (set(sys.modules) - before))\n"
+            "assert not loaded, ('import', loaded)\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    for cmd in ('validate', 'weights'):\n"
             f"        assert cli.main([cmd, {str(DEMO / 'config_before.json')!r}]) == 0\n"
-            "        assert 'orjson' not in sys.modules, cmd\n")
+            "        loaded = sorted({'hashlib', 'orjson'} & (set(sys.modules) - before))\n"
+            "        assert not loaded, (cmd, loaded)\n")
     run = subprocess.run([sys.executable, "-c", code], env=_env(), capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr

@@ -1,9 +1,12 @@
 import csv
 import math
+import re
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cloudmcdm.iahp import (
@@ -644,8 +647,37 @@ def test_cyclic_cr_matches_eig_oracle():
 def test_fraction_tokens():
     assert parse_scale_value("1/7") == 1 / 7
     assert parse_scale_value("3") == 3.0
+    assert parse_scale_value(" -1_0 / 4 ") == -2.5  # spaces around '/' read as on Python 3.12+
     with pytest.raises(ValueError):
         parse_scale_value("x/y")
+    # a quotient too large for a float is an unparsable entry, as 1e999 is a non-finite one
+    with pytest.raises(ValueError, match="cannot parse judgment entry '10{400}/1'"):
+        parse_scale_value("1" + "0" * 400 + "/1")
+
+
+_SIGNED_FRACTIONS = st.builds(lambda sign, a, b, sep: f"{sign}{a:{sep}}/{b:{sep}}", st.sampled_from(["", "-", "+"]),
+                              st.integers(0, 10**400), st.integers(0, 10**400), st.sampled_from(["", "_"]))
+
+
+@settings(max_examples=300, deadline=None)
+@example("1" + "0" * 400 + "/1")  # Fraction parses it, but its float overflows
+@example("1/" + "1" + "0" * 400)  # underflows to 0.0
+@example("-0/5")
+@example("1__0/2")
+@example("\u0663/\u0664")  # Arabic-Indic digits, which int() reads as Fraction does
+@given(st.one_of(_SIGNED_FRACTIONS, st.text("0123456789_/+-.e \u0663", max_size=10).filter(lambda t: "/" in t)))
+def test_fraction_tokens_read_as_fraction_reads_them(token):
+    # the parser takes spaces around '/' and underscores between digits on every Python;
+    # Fraction takes the spaces from 3.12 and the underscores from 3.11
+    assume(not re.search(r"\s/|/\s", token.strip()))
+    assume("_" not in token or sys.version_info >= (3, 11))
+    try:
+        want = float(Fraction(token))
+    except (ValueError, ZeroDivisionError, OverflowError):
+        with pytest.raises(ValueError, match="cannot parse judgment entry"):
+            parse_scale_value(token)
+    else:
+        assert parse_scale_value(token) == want
 
 
 def test_judgment_csv_round_trip(tmp_path):

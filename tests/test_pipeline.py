@@ -1,7 +1,6 @@
 import csv
 import itertools
 import json
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -110,7 +109,7 @@ def test_demo_scenarios_are_directional(report_before, report_after):
 
 def test_report_dict_contract(report_before):
     doc = report_before.to_dict()
-    assert list(doc) == [f.name for f in fields(EvaluationReport)]
+    assert list(doc) == list(EvaluationReport._fields)
     assert EvaluationReport(**doc) == report_before
     old = EvaluationReport(**{k: v for k, v in doc.items() if k != "tool_version"})
     assert old.tool_version == __version__
@@ -696,6 +695,10 @@ BROKEN_INPUTS = [
                  "reciprocity violated at cell (1,2)", id="C1-not-reciprocal"),
     pytest.param(_set_cells("judgment/C1.csv", (0, 1, "-3"), (1, 0, "-1/3")), [], "judgment/C1.csv",
                  "judgment matrix entries must be positive", id="C1-negative"),
+    # a fraction whose quotient overflows a float is unparsable, where 1e999 parses to inf
+    pytest.param(_set_cells("judgment/C1.csv", (0, 1, "1" + "0" * 400 + "/1"), (1, 0, "1/1" + "0" * 400)), [],
+                 "judgment/C1.csv", f"cell (1,2): cannot parse judgment entry '1{'0' * 400}/1'",
+                 id="C1-overflowing-fraction"),
     pytest.param(_sixteen_leaves_in_C1, [], "judgment/C1.csv", "judgment matrix order must be in [1, 15], got 16",
                  id="C1-order-16"),
     # a Latin-1 byte is named with its file, whichever reader meets it
