@@ -28,7 +28,7 @@ class WeightVector(CheckedRecord, namedtuple("WeightVector", "indicator_ids weig
         return tuple.__new__(cls, (indicator_ids, w))
 
     def as_dict(self) -> dict[str, float]:
-        return {i: float(w) for i, w in zip(self.indicator_ids, self.weights)}
+        return dict(zip(self.indicator_ids, self.weights.tolist()))
 
 
 def entropy_weights(z: DataMatrix) -> tuple[WeightVector, np.ndarray]:

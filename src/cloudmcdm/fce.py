@@ -12,33 +12,24 @@ from .cloud import GradeScheme
 from .ewm import WeightVector
 
 
-def triangular_memberships(score: float, scheme: GradeScheme) -> np.ndarray:
-    """Membership row of one score over the scheme's grade bands.
-
-    Triangles peak at band midpoints and reach zero at the adjacent midpoints;
-    outside the first/last midpoint the end band takes full membership. The
-    row sums to 1.
-    """
-    if not 0.0 <= score <= 100.0:
-        raise ValueError(f"score {score} outside [0, 100]")
-    mids = scheme.midpoints()
-    k = len(mids)
-    row = np.zeros(k)
-    if score <= mids[0]:
-        row[0] = 1.0
-    elif score >= mids[-1]:
-        row[-1] = 1.0
-    else:
-        j = int(np.searchsorted(mids, score)) - 1
-        t = (score - mids[j]) / (mids[j + 1] - mids[j])
-        row[j] = 1.0 - t
-        row[j + 1] = t
-    return row
-
-
 def membership_matrix(scores, scheme: GradeScheme) -> np.ndarray:
-    """Stack per-indicator membership rows (indicators x bands)."""
-    return np.vstack([triangular_memberships(float(s), scheme) for s in scores])
+    """Triangular membership rows (scores x bands) in one pass: between band midpoints
+    m_j < s < m_j+1, band j + 1 takes t = (s - m_j) / (m_j+1 - m_j) and band j 1 - t;
+    outside the first/last midpoint the end band takes 1, so each row sums to 1. The
+    first score outside [0, 100] is a ValueError."""
+    s = np.asarray(scores, dtype=float)
+    bad = ~((s >= 0.0) & (s <= 100.0))  # NaN fails both comparisons
+    if bad.any():
+        raise ValueError(f"score {float(s[bad.argmax()])} outside [0, 100]")
+    mids = scheme.midpoints()
+    m = np.zeros((len(s), len(mids)))
+    m[s <= mids[0], 0] = 1.0
+    m[s >= mids[-1], -1] = 1.0
+    inner = np.flatnonzero((s > mids[0]) & (s < mids[-1]))
+    j = np.searchsorted(mids, s[inner]) - 1
+    t = (s[inner] - mids[j]) / (mids[j + 1] - mids[j])
+    m[inner, j], m[inner, j + 1] = 1.0 - t, t
+    return m
 
 
 def fce_score(m: np.ndarray, w: WeightVector, scheme: GradeScheme) -> float:

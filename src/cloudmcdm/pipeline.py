@@ -2,38 +2,29 @@
 
 One JSON config references every input (hierarchy, judgment matrices, data,
 ratings, grade scheme, seed, droplet counts), so an evaluation is archivable
-and replayable. report.json writes floats at REPORT_DIGITS significant digits,
-so a last-ulp difference between platforms changes its bytes only through a
-value within an ulp of a rounding boundary (none in the demo reports).
-droplets.csv keeps full-precision floats and diagram.svg writes coordinates at
-2 decimals; both are byte-identical when replayed on one machine, but
-droplets.csv may differ in the last digit across numpy builds and CPUs.
+and replayable. report.json has the bytes of `json.dumps(sort_keys=True, indent=2)`
+(orjson writes them) with floats at REPORT_DIGITS significant digits, so a last-ulp
+difference between platforms changes it only through a value within an ulp of a
+rounding boundary (none in the demo reports). droplets.csv keeps full-precision
+floats and diagram.svg writes coordinates at 2 decimals; both replay byte for
+byte on one machine, but droplets.csv may differ in the last digit across numpy
+builds and CPUs.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
 from . import __version__
-from .cloud import (
-    AGGREGATIONS,
-    CloudParams,
-    DEFAULT_SCHEME,
-    MIN_DROPLETS,
-    MIN_SAMPLES,
-    GradeScheme,
-    aggregate_clouds,
-    assign_grade,  # unused; stays bound because perfbench/spans.py wraps pipeline.assign_grade by name
-    forward_cloud,
-    grade_clouds,
-    indicator_cloud,
-    load_scheme,
-)
+from .cloud import (AGGREGATIONS, DEFAULT_SCHEME, MIN_DROPLETS, MIN_SAMPLES, CloudParams, GradeScheme,
+                    aggregate_clouds, forward_cloud, grade_clouds, indicator_cloud, load_scheme)
+from .cloud import assign_grade  # unused; stays bound because perfbench/spans.py wraps it by name
 from .combiner import combine_weights
 from .dataprep import (MISSING, DataMatrix, json_float, json_int, json_object, json_value, load_data_csv,
                        min_max_normalize, read_json)
@@ -188,11 +179,16 @@ class EvaluationReport(NamedTuple):
         return self._asdict()
 
     def to_json_bytes(self) -> bytes:
-        """The report.json bytes: sorted keys, every float at REPORT_DIGITS
-        significant digits, so a one-ulp platform difference leaves them unchanged
-        unless it crosses a rounding boundary. `to_dict` keeps full precision."""
+        """The report.json bytes: `json.dumps(doc, sort_keys=True, indent=2)` and a newline,
+        written by one orjson call. doc is `to_dict` with every float at REPORT_DIGITS significant
+        digits, which a one-ulp platform difference changes only across a rounding boundary."""
+        import orjson  # local import: validate and weights never load it
         self._check_simplex()
-        return (json.dumps(_round_floats(self.to_dict()), sort_keys=True, indent=2) + "\n").encode()
+        spliced = []
+        raw = orjson.dumps(_json_doc(self.to_dict(), spliced),
+                           option=orjson.OPT_INDENT_2 | orjson.OPT_APPEND_NEWLINE)
+        # every other string orjson wrote is printable ASCII, so only a placeholder reads "\u0000<k>"
+        return re.sub(rb'"\\u0000(\d+)"', lambda m: spliced[int(m[1])], raw) if spliced else raw
 
     def _check_simplex(self) -> None:
         # defense in depth: every emitted weight table must sit on the simplex
@@ -202,15 +198,27 @@ class EvaluationReport(NamedTuple):
                 raise ValueError(f"weight table leaves the simplex (sum {total})")
 
 
-def _round_floats(doc):
-    """Copy of a JSON document with every float at REPORT_DIGITS significant digits."""
+def _json_doc(doc, spliced: list):
+    """`doc` for orjson: floats at REPORT_DIGITS significant digits, dicts in sorted key
+    order, and each key or value whose orjson text is not json.dumps's (a float outside
+    1e-4 <= |v| < 1e16 but the zeros, NaN and +-inf among them, an int outside
+    [-2**63, 2**64), a string json.dumps escapes) as "\\x00<k>", its json.dumps text at spliced[k]."""
     if isinstance(doc, float):
-        return float(f"{doc:.{REPORT_DIGITS}g}")
-    if isinstance(doc, dict):
-        return {k: _round_floats(v) for k, v in doc.items()}
-    if isinstance(doc, list):
-        return [_round_floats(v) for v in doc]
-    return doc
+        doc = float(f"{doc:.{REPORT_DIGITS}g}")
+        plain = 1e-4 <= abs(doc) < 1e16 or doc == 0.0
+    elif isinstance(doc, dict):  # a key is a str, as orjson requires
+        return {k if k.isascii() and k.isprintable() else _json_doc(k, spliced): _json_doc(v, spliced)
+                for k, v in sorted(doc.items())}
+    elif isinstance(doc, (list, tuple)):
+        return [_json_doc(v, spliced) for v in doc]
+    elif isinstance(doc, str):  # json.dumps escapes all but printable ASCII
+        plain = doc.isascii() and doc.isprintable()
+    else:  # True, False and None read alike
+        plain = not isinstance(doc, int) or -2**63 <= doc < 2**64
+    if plain:
+        return doc
+    spliced.append(json.dumps(doc).encode())
+    return f"\x00{len(spliced) - 1}"
 
 
 def hierarchy_digest(h: IndexHierarchy) -> str:

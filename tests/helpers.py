@@ -8,7 +8,9 @@ from pathlib import Path
 
 import numpy as np
 
+from cloudmcdm.cloud import GradeScheme
 from cloudmcdm.iahp import SAATY_VALUES
+from cloudmcdm.pipeline import REPORT_DIGITS
 
 REPO = Path(__file__).resolve().parents[1]
 DEMO = REPO / "data" / "demo"
@@ -106,3 +108,41 @@ def assert_floats_close(got, want, rel: float = 0.0, abs: float = 0.0, where: st
         assert math.isclose(got, want, rel_tol=rel, abs_tol=abs), (where, got, want)
     else:
         assert got == want, (where, got, want)
+
+
+def round_floats(doc):
+    """Copy of a JSON document with every float at REPORT_DIGITS significant digits,
+    those in a tuple included: the oracle of `EvaluationReport.to_json_bytes`, whose
+    bytes are `json.dumps(round_floats(doc), sort_keys=True, indent=2) + "\\n"`."""
+    if isinstance(doc, float):
+        return float(f"{doc:.{REPORT_DIGITS}g}")
+    if isinstance(doc, dict):
+        return {k: round_floats(v) for k, v in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return [round_floats(v) for v in doc]
+    return doc
+
+
+def triangular_memberships(score: float, scheme: GradeScheme) -> np.ndarray:
+    """Membership row of one score over the scheme's grade bands: the per-score
+    oracle of `fce.membership_matrix`.
+
+    Triangles peak at band midpoints and reach zero at the adjacent midpoints;
+    outside the first/last midpoint the end band takes full membership. The
+    row sums to 1.
+    """
+    if not 0.0 <= score <= 100.0:
+        raise ValueError(f"score {score} outside [0, 100]")
+    mids = scheme.midpoints()
+    k = len(mids)
+    row = np.zeros(k)
+    if score <= mids[0]:
+        row[0] = 1.0
+    elif score >= mids[-1]:
+        row[-1] = 1.0
+    else:
+        j = int(np.searchsorted(mids, score)) - 1
+        t = (score - mids[j]) / (mids[j + 1] - mids[j])
+        row[j] = 1.0 - t
+        row[j + 1] = t
+    return row

@@ -1,5 +1,6 @@
-"""The droplets.csv and diagram.svg writers: byte-equal to the per-droplet code
-they replaced, and a full run with artifacts at the engine's limits."""
+"""The report.json, droplets.csv and diagram.svg writers: byte-equal to the
+stdlib encoder and the per-droplet code they replaced, and a full run with
+artifacts at the engine's limits."""
 
 import json
 import xml.etree.ElementTree as ET
@@ -12,8 +13,10 @@ from hypothesis import strategies as st
 
 from cloudmcdm import svgplot
 from cloudmcdm.cloud import DEFAULT_SCHEME, CloudParams, GradeScheme, forward_cloud
-from cloudmcdm.pipeline import droplets_csv_bytes, run_pipeline
+from cloudmcdm.pipeline import EvaluationReport, droplets_csv_bytes, run_pipeline
 from cloudmcdm.svgplot import cloud_diagram
+
+from helpers import round_floats
 
 
 # -- reference: one droplet at a time ------------------------------------------
@@ -320,3 +323,51 @@ def test_scaled_run_writes_complete_artifacts(scaled_run):
     assert len(tables) == 3 + 3 + 15
     for table in tables:
         assert sum(table.values()) == pytest.approx(1.0, abs=1e-9)
+
+
+# -- report.json: orjson with json.dumps splices against json.dumps alone ------
+
+# characters json.dumps escapes and orjson writes otherwise (or rejects), and the
+# text of a splice placeholder written out literally
+_ODD_CHARS = ["\x7f", "\x00", "\x1f", "\n", "\ud800", "\udfff", "\u00e9", "\u4f18", "\u2028", "\U0001f600"]
+_STRINGS = st.one_of(
+    st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7e), max_size=6),  # printable ASCII
+    st.lists(st.one_of(st.characters(), st.sampled_from(_ODD_CHARS + ['"', "\\"])), max_size=6).map("".join),
+    st.integers(0, 120).map(lambda k: f"\\u0000{k}"),
+    st.sampled_from(["", "\\u00000", '"\\u00001"', "\x000", "\x001", "\u4f18\u79c0", "tr\u00e8s bien"]),
+)
+_FLOATS = st.one_of(
+    st.floats(),  # NaN, +-inf, subnormals and -0.0 among them
+    st.sampled_from([1e-4, 9.99999999999e-5, 9.9999999999995e-5, 1e-5, 5e-324, -0.0, 0.0, 1e16,
+                     9999999999999998.0, 9.99999999999e15, 1e300, -1e-300, float("nan"), float("-inf")]),
+)
+_INTS = st.one_of(
+    st.integers(),
+    st.sampled_from([2**64 - 1, 2**64, 10**30, -2**63, -2**63 - 1, -10**30, 0]),
+)
+_VALUES = st.recursive(
+    st.one_of(_FLOATS, _INTS, _STRINGS, st.booleans(), st.none()),
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+                            st.dictionaries(_STRINGS, inner, max_size=4)),
+    max_leaves=12,
+)
+_DOCS = st.dictionaries(_STRINGS, _VALUES, max_size=5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_STRINGS, _INTS, _DOCS)
+def test_report_bytes_equal_the_stdlib_encoder(text, seed, doc):
+    # every key and value orjson would write otherwise goes through json.dumps; the
+    # weight tables are empty, so _check_simplex passes whatever else they hold
+    report = EvaluationReport(
+        scenario=text, seed=seed, aggregation="linear", hierarchy_digest=text, scheme=doc,
+        weights={**doc, "criterion": {}, "indicator_global": {}}, criterion_clouds=doc,
+        comprehensive_cloud={text: doc}, grade=text, similarity={}, fce={"score": []})
+    want = json.dumps(round_floats(report.to_dict()), sort_keys=True, indent=2) + "\n"
+    assert report.to_json_bytes() == want.encode()
+
+
+def test_report_bytes_equal_the_stdlib_encoder_on_the_demo(report_before, report_after):
+    for report in (report_before, report_after):
+        want = json.dumps(round_floats(report.to_dict()), sort_keys=True, indent=2) + "\n"
+        assert report.to_json_bytes() == want.encode()

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from cloudmcdm.cloud import DEFAULT_SCHEME
+from cloudmcdm.cloud import DEFAULT_SCHEME, GradeScheme
 from cloudmcdm.ewm import WeightVector
-from cloudmcdm.fce import fce_score, membership_matrix, triangular_memberships
+from cloudmcdm.fce import fce_score, membership_matrix
+
+from helpers import triangular_memberships
 
 MIDS = DEFAULT_SCHEME.midpoints()  # 30, 67.5, 80, 92.5
 
@@ -13,24 +15,60 @@ def wv(weights):
     return WeightVector(tuple(f"c{j}" for j in range(len(weights))), weights)
 
 
+def row(score):
+    return membership_matrix([score], DEFAULT_SCHEME)[0]
+
+
 def test_band_midpoint_is_apex():
-    row = triangular_memberships(80.0, DEFAULT_SCHEME)
-    np.testing.assert_allclose(row, [0, 0, 1, 0])
+    np.testing.assert_allclose(row(80.0), [0, 0, 1, 0])
 
 
 def test_halfway_between_midpoints_splits_evenly():
-    row = triangular_memberships((67.5 + 80.0) / 2, DEFAULT_SCHEME)
-    np.testing.assert_allclose(row, [0, 0.5, 0.5, 0])
+    np.testing.assert_allclose(row((67.5 + 80.0) / 2), [0, 0.5, 0.5, 0])
 
 
 def test_scale_ends_clamp_to_extreme_bands():
-    np.testing.assert_allclose(triangular_memberships(0.0, DEFAULT_SCHEME), [1, 0, 0, 0])
-    np.testing.assert_allclose(triangular_memberships(100.0, DEFAULT_SCHEME), [0, 0, 0, 1])
+    np.testing.assert_allclose(row(0.0), [1, 0, 0, 0])
+    np.testing.assert_allclose(row(100.0), [0, 0, 0, 1])
 
 
 def test_out_of_range_score_rejected():
-    with pytest.raises(ValueError, match="outside"):
-        triangular_memberships(101.0, DEFAULT_SCHEME)
+    with pytest.raises(ValueError, match=r"^score 101\.0 outside \[0, 100\]$"):
+        membership_matrix([101.0], DEFAULT_SCHEME)
+
+
+@pytest.mark.parametrize("scores, first", [
+    ([50.0, 101.0, -1.0, 102.0], "101.0"),
+    ([50.0, -0.5, 101.0], "-0.5"),
+    ([80.0, float("nan")], "nan"),
+])
+def test_out_of_range_names_the_first_score(scores, first):
+    # the text the per-score rows raised for the first score they could not place
+    with pytest.raises(ValueError, match=rf"^score {first} outside \[0, 100\]$"):
+        membership_matrix(scores, DEFAULT_SCHEME)
+    with pytest.raises(ValueError, match=rf"^score {first} outside \[0, 100\]$"):
+        [triangular_memberships(float(s), DEFAULT_SCHEME) for s in scores]
+
+
+SCHEMES = {
+    "default": DEFAULT_SCHEME,
+    "one band": GradeScheme(bands=(("all", 0.0, 100.0),)),
+    "two bands": GradeScheme(bands=(("low", 0.0, 37.5), ("high", 37.5, 100.0))),
+}
+
+
+@pytest.mark.parametrize("scheme", SCHEMES.values(), ids=SCHEMES.keys())
+def test_matrix_has_the_bits_of_the_per_score_rows(scheme):
+    # 5000 random scores, every band midpoint, the scale ends and the band edges
+    rng = np.random.default_rng(33)
+    edges = [v for _, lo, hi in scheme.bands for v in (lo, hi)]
+    scores = np.concatenate([rng.uniform(0, 100, 5000), scheme.midpoints(), [0.0, 100.0], edges])
+    want = np.vstack([triangular_memberships(float(s), scheme) for s in scores])
+    got = membership_matrix(scores, scheme)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+    # the same bits from a list of Python floats, as run_pipeline passes them
+    assert membership_matrix(scores.tolist(), scheme).tobytes() == want.tobytes()
 
 
 def test_rows_sum_to_one():

@@ -18,7 +18,6 @@ from cloudmcdm.pipeline import (
     EvaluationReport,
     PipelineConfig,
     PipelineInputs,
-    _round_floats,
     compare_scenarios,
     compute_weights,
     droplets_csv_bytes,
@@ -26,7 +25,7 @@ from cloudmcdm.pipeline import (
     run_pipeline,
 )
 
-from helpers import DEMO, assert_floats_close
+from helpers import DEMO, assert_floats_close, round_floats
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "report_before.json"
 
@@ -830,7 +829,7 @@ def test_weights_cli_selectors(tmp_path, capsys):
             want = {k: {"criterion": w["criterion"][k], "indicator_global": w["indicator_global"][k], **extra[k]}
                     for k in kinds or extra}
             assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
-            assert _round_floats(json.loads(out)) == want, kinds
+            assert round_floats(json.loads(out)) == want, kinds
 
 
 def test_compare_cli(tmp_path, capsys):
