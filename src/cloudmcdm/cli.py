@@ -70,16 +70,11 @@ def cmd_droplets(args) -> int:
     cfg = _load_config(args)
     inputs = load_inputs(cfg)
     leaf_clouds, crit_clouds, comprehensive = score_clouds(inputs, compute_weights(inputs), cfg)
-    level = args.level
-    if level in leaf_clouds:
-        cloud = leaf_clouds[level]
-    elif level in crit_clouds:
-        cloud = crit_clouds[level]
-    elif level in (inputs.hierarchy.root_id, "comprehensive"):
-        cloud = comprehensive
-    else:
-        raise ValueError(f"unknown level id {level!r}")
-    payload = droplets_csv_bytes(forward_cloud(cloud, args.n, cfg.seed))
+    # ids are unique, and a leaf or criterion id shadows "comprehensive"
+    clouds = {"comprehensive": comprehensive, inputs.hierarchy.root_id: comprehensive, **crit_clouds, **leaf_clouds}
+    if args.level not in clouds:
+        raise ValueError(f"unknown level id {args.level!r}")
+    payload = droplets_csv_bytes(forward_cloud(clouds[args.level], args.n, cfg.seed))
     if args.out:
         Path(args.out).write_bytes(payload)
     else:

@@ -185,9 +185,7 @@ def aggregate_clouds(children: list[CloudParams], w, strategy: str = "linear") -
         raise ValueError(f"{len(children)} clouds but {weights.size} weights")
     if abs(weights.sum() - 1.0) > 1e-9 or (weights < 0).any():
         raise ValueError("aggregation weights must be a simplex vector")
-    ex = np.array([c.ex for c in children])
-    en = np.array([c.en for c in children])
-    he = np.array([c.he for c in children])
+    ex, en, he = np.array(children, dtype=float).T.copy()  # contiguous rows: a strided one dots other bits
     # a child's He > 0 implies its En > 0, but a tiny weight can round its En term to 0
     # and not its He term; dropping that He term keeps the parent's En = 0 => He = 0
     if strategy == "linear":
@@ -289,25 +287,17 @@ def grade_clouds(clouds: list[CloudParams], scheme: GradeScheme = DEFAULT_SCHEME
 
     Each similarity is the exact expectation of `cloud_similarity`'s estimate.
     Every cloud, band and direction is evaluated in one numpy pass and no droplet
-    is drawn, so a table depends only on its cloud and the scheme. Exact ties are
-    broken toward the higher band.
+    is drawn, so a table depends only on its cloud and the scheme. The label is the
+    first maximum scanning from the top band down, so an exact tie goes to the
+    higher band.
     """
     labels, bands = zip(*scheme.clouds())
-    graded = np.array([(c.ex, c.en, c.he) for c in clouds]).reshape(-1, 1, 3)
-    reference = np.array([(g.ex, g.en, g.he) for g in bands])
-    pairs = np.stack(np.broadcast_arrays(graded, reference))  # (graded, band) and (band, graded)
+    graded = np.array(clouds, dtype=float).reshape(-1, 1, 3)
+    pairs = np.stack(np.broadcast_arrays(graded, np.array(bands, dtype=float)))  # (graded, band), (band, graded)
     forward, backward = _expected_membership(pairs, pairs[::-1])
     sims = _symmetrized(graded[:, :, 1], forward, backward)
-    tables = [dict(zip(labels, row)) for row in sims.tolist()]
-    return [(_best_label(table), table) for table in tables]
-
-
-def _best_label(table: dict[str, float]) -> str:
-    best_label, best = None, -1.0
-    for label, sim in table.items():
-        if sim >= best:  # scanning low -> high, so equal similarity promotes
-            best_label, best = label, sim
-    return best_label
+    best = len(labels) - 1 - sims[:, ::-1].argmax(axis=1)
+    return [(labels[b], dict(zip(labels, row))) for b, row in zip(best.tolist(), sims.tolist())]
 
 
 def assign_grade(c: CloudParams, scheme: GradeScheme = DEFAULT_SCHEME) -> tuple[str, dict[str, float]]:

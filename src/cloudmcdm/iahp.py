@@ -11,8 +11,9 @@ CR test applied. Relisting the items relists the result. A checked relation has
 |logit p_ij| <= logit 0.9, so the reference and every iterate stay under twice it.
 `weigh_judgments` repairs the matrices of one order in lockstep, with private
 kernels over stacks of upper triangles and one power iteration per matrix for
-its CR and weights; `auto_correct`, `consistency_ratio` and `principal_weights`
-are one-matrix calls.
+its CR and weights. Every row of a stack is computed on its own, so a matrix that
+stops is frozen by a mask, never sliced out, and has the bits of a stack of one;
+`auto_correct`, `consistency_ratio` and `principal_weights` are one-matrix calls.
 """
 
 from __future__ import annotations
@@ -129,13 +130,8 @@ def to_preference(j: np.ndarray) -> np.ndarray:
 
 
 def from_preference(p: np.ndarray) -> np.ndarray:
-    """Piecewise-linear inverse of the scale table, of one relation or a (k, n, n) stack.
-
-    Each upper-triangle value p is mapped through max(p, 1 - p), interpolated
-    between adjacent knots of 0.5..0.9 -> 1..9, and inverted where p < 0.5, so p
-    and 1 - p map to reciprocals (1 - p is exact on the knots below 0.5). The
-    lower triangle is rebuilt exactly via r_ji = 1 / r_ij so reciprocity holds.
-    """
+    """Piecewise-linear inverse of the scale table, of one relation or a (k, n, n) stack:
+    its range checked, then `_saaty` of its upper triangles."""
     p = np.asarray(p, dtype=float)
     if p.ndim not in (2, 3) or p.shape[-1] != p.shape[-2]:
         raise ValueError(f"preference relation must be square, got shape {p.shape}")
@@ -145,10 +141,19 @@ def from_preference(p: np.ndarray) -> np.ndarray:
         raise ValueError(f"preference value {float(p[cell])} at cell ({cell[-2] + 1},{cell[-1] + 1}) "
                          "outside [0.1, 0.9]")
     i, k = _upper(p.shape[-1])
-    u = np.clip(p[..., i, k], 0.1, 0.9)
-    r = np.interp(np.maximum(u, 1.0 - u), PREFERENCE_VALUES[8:], SAATY_VALUES[8:])
-    upper = np.where(u < 0.5, 1.0 / r, r)
-    j = np.ones(p.shape)
+    return _saaty(np.clip(p[..., i, k], 0.1, 0.9), p.shape[-1])
+
+
+def _saaty(upper: np.ndarray, n: int) -> np.ndarray:
+    """Order-n reciprocal matrices on the 1/9..9 scale from (..., m) upper triangles of
+    preferences in [0.1, 0.9], in row-major order. Each p is mapped through max(p, 1 - p),
+    interpolated between adjacent knots of 0.5..0.9 -> 1..9, and inverted where p < 0.5,
+    so p and 1 - p map to reciprocals (1 - p is exact on the knots below 0.5). The lower
+    triangle is rebuilt exactly via r_ji = 1 / r_ij so reciprocity holds."""
+    i, k = _upper(n)
+    r = np.interp(np.maximum(upper, 1.0 - upper), PREFERENCE_VALUES[8:], SAATY_VALUES[8:])
+    upper = np.where(upper < 0.5, 1.0 / r, r)
+    j = np.ones((*upper.shape[:-1], n, n))
     j[..., i, k] = upper
     j[..., k, i] = 1.0 / upper
     return j
@@ -191,11 +196,11 @@ def weigh_judgments(matrices, cfg: RepairConfig | None = None) -> list[tuple | V
     `auto_correct` raises for it alone, with the bits of a one-matrix call.
 
     Each matrix is checked once. Those of one order are repaired in lockstep:
-    their references are built once, each sweep measures the distances of all
-    still repairing and pulls them in one pass, and a matrix leaves once its
-    distance is under tau or max_iter steps are spent. One stacked
-    `from_preference` and one stacked power iteration per order give the
-    repaired matrices, lambda_max and the weights."""
+    their references are built once, and each sweep measures and pulls the whole
+    stack in one pass. Rows are computed alone, so a matrix whose distance is under
+    tau, or that has spent max_iter steps, leaves the `live` mask and is frozen, not
+    sliced out. One stacked `_saaty` and one stacked power iteration per order give
+    the repaired matrices, lambda_max and the weights."""
     cfg = cfg or RepairConfig()
     out: list = [None] * len(matrices)
     traces = [RepairTrace() for _ in matrices]
@@ -210,37 +215,30 @@ def weigh_judgments(matrices, cfg: RepairConfig | None = None) -> list[tuple | V
             groups.setdefault(len(p), {})[k] = p
     for n, members in groups.items():
         i, j = _upper(n)
-        done: dict[int, np.ndarray] = {}
-        live = np.array(list(members))
+        ks = np.array(list(members))
         p = np.stack(list(members.values()))[:, i, j]  # upper triangles: each lower one is 1 - its upper
         x = np.log(p / (1.0 - p))
         xbar = _references(x, n)
         pbar = _probabilities(xbar)
-        while live.size:
-            keep = []
-            for r, (k, d) in enumerate(zip(live.tolist(), _distances(p, pbar).tolist())):
-                traces[k].distances.append(d)
-                if d < cfg.tau:
-                    done[k] = p[r]
-                elif traces[k].iterations == cfg.max_iter:
-                    out[k] = RepairError(f"repair did not reach d < {cfg.tau} within {cfg.max_iter} "
-                                         f"iterations (last d = {d:.4f})", traces[k])
-                else:
-                    keep.append(r)
-            live, x, xbar, pbar = live[keep], _pull(x[keep], xbar[keep], cfg.sigma), xbar[keep], pbar[keep]
+        live = np.ones(len(ks), dtype=bool)
+        for sweep in range(cfg.max_iter + 1):
+            d = _distances(p, pbar)
+            for k, dk in zip(ks[live].tolist(), d[live].tolist()):
+                traces[k].distances.append(dk)
+            live &= ~(d < cfg.tau)
+            if sweep == cfg.max_iter or not live.any():
+                break
+            x = np.where(live[:, None], _pull(x, xbar, cfg.sigma), x)
             p = _probabilities(x)
-        if not done:
-            continue
-        ks = list(done)
-        repaired = np.stack([np.asarray(matrices[k], dtype=float) for k in ks])
-        moved = [r for r, k in enumerate(ks) if traces[k].iterations]
-        if moved:  # iterates can pass the 0.9 knot; clamp them back onto the table's domain
-            q = np.full((len(moved), n, n), 0.5)
-            q[:, i, j] = np.clip([done[ks[r]] for r in moved], 0.1, 0.9)
-            q[:, j, i] = 1.0 - q[:, i, j]
-            repaired[moved] = from_preference(q)
+        for k in ks[live].tolist():  # still live after max_iter steps
+            out[k] = RepairError(f"repair did not reach d < {cfg.tau} within {cfg.max_iter} "
+                                 f"iterations (last d = {traces[k].distances[-1]:.4f})", traces[k])
+        moved = np.array([traces[k].iterations > 0 for k in ks])[:, None, None]
+        given = np.stack([np.asarray(matrices[k], dtype=float) for k in ks])
+        # iterates can pass the 0.9 knot; clamp them back onto the table's domain
+        repaired = np.where(moved, _saaty(np.clip(p, 0.1, 0.9), n), given)[~live]
         weights, lam = _power_iteration(repaired)
-        for k, a, w, lk in zip(ks, repaired, weights, lam.tolist()):
+        for k, a, w, lk in zip(ks[~live].tolist(), repaired, weights, lam.tolist()):
             cr = traces[k].final_cr = _ratios(lk, n)[2]
             out[k] = ((a, w, traces[k]) if cr < 0.1 else
                       RepairError(f"repaired matrix still fails the CR test (CR = {cr:.4f})", traces[k]))
@@ -276,21 +274,19 @@ def principal_weights(j: np.ndarray, ids=None) -> WeightVector:
 
 def _power_iteration(a: np.ndarray, tol: float = 1e-12, max_sweeps: int = 10_000
                      ) -> tuple[np.ndarray, np.ndarray]:
-    """Normalized dominant eigenvectors and lambda_max of a (k, n, n) stack. Each
-    matrix stops at its own sweep, so it gets the bits a stack of one would."""
+    """Normalized dominant eigenvectors and lambda_max of a (k, n, n) stack. `@` solves
+    each matrix alone, and one that stops leaves the `live` mask and is frozen, so it
+    gets the bits a stack of one would."""
     k, n, _ = a.shape
-    v, live = np.full((k, n), 1.0 / n), np.arange(k)
-    a_live, v_live = a[live], v[live]  # the matrices still moving, copied again only when one stops
+    v, live = np.full((k, n), 1.0 / n), np.ones(k, dtype=bool)
     for _ in range(max_sweeps):
-        av = (a_live @ v_live[..., None])[..., 0]
+        av = (a @ v[..., None])[..., 0]
         nxt = av / av.sum(axis=1, keepdims=True)
-        moving = ~(np.abs(nxt - v_live).max(axis=1) < tol)
-        if not moving.all():
-            v[live] = nxt
-            live, a_live, nxt = live[moving], a_live[moving], nxt[moving]
-            if not live.size:
-                break
-        v_live = nxt
+        moving = ~(np.abs(nxt - v).max(axis=1) < tol)
+        v = np.where(live[:, None], nxt, v)
+        live &= moving
+        if not live.any():
+            break
     else:
         raise RuntimeError("power iteration did not converge")
     av = (a @ v[..., None])[..., 0]

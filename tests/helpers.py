@@ -123,6 +123,16 @@ def round_floats(doc):
     return doc
 
 
+def best_label(table: dict[str, float]) -> str:
+    """Label of the largest similarity in a table listed low band to high: the oracle of
+    `grade_clouds`' argmax, scanning up so that an exact tie goes to the higher band."""
+    best_label, best = None, -1.0
+    for label, sim in table.items():
+        if sim >= best:
+            best_label, best = label, sim
+    return best_label
+
+
 def triangular_memberships(score: float, scheme: GradeScheme) -> np.ndarray:
     """Membership row of one score over the scheme's grade bands: the per-score
     oracle of `fce.membership_matrix`.

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import REPO
+from helpers import REPO, best_label
 
 from cloudmcdm.cloud import (
     AGGREGATIONS,
@@ -349,6 +349,27 @@ def test_aggregated_ex_lies_within_children_range(case, strategy):
     assert min(ex) - tol <= aggregate_clouds(children, w, strategy=strategy).ex <= max(ex) + tol
 
 
+def _aggregate_per_field(children, w, strategy):
+    """`aggregate_clouds` read one field at a time into its own contiguous array."""
+    ex, en, he = (np.array([getattr(c, f) for c in children]) for f in ("ex", "en", "he"))
+    if strategy == "linear":
+        he = np.where(w * en > 0, he, 0.0)
+        return CloudParams(float(w @ ex), float(w @ en), float(w @ he))
+    en2 = w**2 * en**2
+    return CloudParams(float(w @ ex), float(np.sqrt(np.sum(en2))),
+                       float(np.sqrt(np.sum(np.where(en2 > 0, w**2 * he**2, 0.0)))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(CLOUDS, min_size=1, max_size=15).flatmap(lambda cs: st.tuples(st.just(cs), simplex(len(cs)))),
+       st.sampled_from(AGGREGATIONS))
+def test_aggregation_matches_the_per_field_oracle_bit_for_bit(case, strategy):
+    # the records are read as one array; a dot product over a strided field reads other bits
+    children, w = case
+    got, want = aggregate_clouds(children, w, strategy=strategy), _aggregate_per_field(children, w, strategy)
+    assert [v.hex() for v in got] == [v.hex() for v in want]
+
+
 # -- similarity and grading --------------------------------------------------
 
 def test_self_similarity_analytic():
@@ -415,6 +436,33 @@ def test_boundary_tie_promotes_higher_band():
     label, table = assign_grade(CloudParams(50, 0, 0), scheme)
     assert table["low"] == table["high"]
     assert label == "high"
+
+
+@st.composite
+def boundary_ties(draw):
+    """A scheme of equal-width bands and clouds, some centred on a random band boundary:
+    such a cloud is equally similar to the two bands around it, and more to them than
+    to any other band, to the last bit."""
+    count = draw(st.sampled_from([2, 4, 5, 10, 20]))
+    width = 100 // count
+    scheme = GradeScheme(tuple((f"g{k}", float(k * width), float((k + 1) * width)) for k in range(count)),
+                         he_ratio=draw(st.floats(1e-3, 10)))
+    tied = st.builds(CloudParams, ex=st.integers(1, count - 1).map(lambda k: float(k * width)),
+                     en=st.floats(1e-3, 30), he=st.floats(0, 20))
+    return scheme, width, draw(st.lists(st.one_of(tied, CLOUDS), min_size=1, max_size=8))
+
+
+@settings(max_examples=150, deadline=None)
+@given(boundary_ties())
+def test_grade_clouds_labels_as_the_scan_oracle_and_ties_promote(case):
+    scheme, width, clouds = case
+    for c, (label, table) in zip(clouds, grade_clouds(clouds, scheme)):
+        assert label == best_label(table)
+        upper, rest = divmod(c.ex, width)
+        if rest == 0 and 0 < upper < len(scheme.bands):
+            lower_label, upper_label = scheme.labels[int(upper) - 1], scheme.labels[int(upper)]
+            assert table[lower_label] == table[upper_label] == max(table.values()), table
+            assert label == upper_label
 
 
 # -- exact grading against the references ---------------------------------------

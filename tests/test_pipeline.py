@@ -868,6 +868,28 @@ def test_droplets_cli_unknown_level(capsys):
     assert "unknown level" in capsys.readouterr().err
 
 
+def test_droplets_level_lookup(tmp_path, capsys):
+    # the root id and "comprehensive" name one cloud, and a leaf id shadows "comprehensive"
+    def droplets(config, level):
+        out = tmp_path / "droplets.csv"
+        assert cli_main(["droplets", str(config), "--level", level, "--n", "50", "--out", str(out)]) == 0
+        return out.read_bytes()
+
+    demo = DEMO / "config_before.json"
+    comprehensive = droplets(demo, "comprehensive")
+    assert droplets(demo, json.loads((DEMO / "hierarchy.json").read_text())["root"]["id"]) == comprehensive
+    renamed = tmp_path / "renamed"
+    renamed.mkdir()
+    _copy_demo(renamed)
+    _set_C41_id("comprehensive")(renamed)
+    for name in ("indicators.csv", "ratings_before.csv", "ratings_after.csv"):
+        path = renamed / name
+        path.write_text(path.read_text().replace(",C41,", ",comprehensive,", 1))
+    assert droplets(renamed / "config_before.json", "comprehensive") == droplets(demo, "C41") != comprehensive
+    assert cli_main(["droplets", str(demo), "--level", "XX"]) == 2
+    assert capsys.readouterr().err == "error: unknown level id 'XX'\n"
+
+
 def test_seed_env_fallback(tmp_path, monkeypatch):
     doc = json.loads((DEMO / "config_before.json").read_text())
     del doc["seed"]
