@@ -56,11 +56,14 @@ class GradeScheme(CheckedRecord, namedtuple("GradeScheme", "bands he_ratio", def
     """Ordered, uniquely labelled grade bands covering [0,100] without gaps or overlaps."""
 
     __slots__ = ()
+    MAX_HE_RATIO = 10  # a band cloud's He is he_ratio * En; far larger ratios overflow its droplets
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        if self.he_ratio <= 0:
+        if not self.he_ratio > 0:  # NaN fails too
             raise ValueError("he_ratio must be positive")
+        if self.he_ratio > self.MAX_HE_RATIO:
+            raise ValueError(f"he_ratio must be at most {self.MAX_HE_RATIO}, got {self.he_ratio}")
         if not self.bands:
             raise ValueError("scheme needs at least one band")
         prev_hi = 0.0

@@ -39,7 +39,8 @@ def min_max_normalize(d: DataMatrix, cost: list[bool] | np.ndarray) -> DataMatri
     `cost` holds one bool per column (`IndexHierarchy.cost_leaves`): False is a
     benefit column, (x - min) / (max - min); True a cost column, (max - x) / (max - min).
     Constant columns map to 0.5 everywhere, so downstream entropy weighting
-    assigns them zero discriminating power without a division by zero.
+    assigns them zero discriminating power without a division by zero. A column
+    whose max - min overflows a float is rejected.
     """
     x = d.values
     cost = np.asarray(cost)
@@ -52,10 +53,14 @@ def min_max_normalize(d: DataMatrix, cost: list[bool] | np.ndarray) -> DataMatri
             f"indicator {d.indicator_ids[bad[1]]!r}"
         )
     lo, hi = x.min(axis=0), x.max(axis=0)
+    with np.errstate(over="ignore"):
+        span = hi - lo
+    if not np.isfinite(span).all():  # a finite column such as -1e308 .. 1e308
+        raise ValueError(f"column {d.indicator_ids[np.argmin(np.isfinite(span))]!r}: range overflows")
     out = x - lo
     np.subtract(hi, x, out=out, where=cost)
     with np.errstate(invalid="ignore"):  # a constant column is 0 / 0 here
-        out /= hi - lo
+        out /= span
     out[:, hi == lo] = 0.5
     return DataMatrix(d.object_ids, d.indicator_ids, out)
 
@@ -93,6 +98,13 @@ def json_object(value) -> dict:
     """A JSON object, as is; anything else is rejected."""
     if not isinstance(value, dict):
         raise TypeError("expected a JSON object")
+    return value
+
+
+def json_str(value) -> str:
+    """A JSON string, as is; anything else is rejected, not converted with `str`."""
+    if not isinstance(value, str):
+        raise TypeError("expected a JSON string")
     return value
 
 

@@ -26,7 +26,7 @@ from .cloud import (AGGREGATIONS, DEFAULT_SCHEME, MIN_DROPLETS, MIN_SAMPLES, Clo
                     aggregate_clouds, forward_cloud, grade_clouds, indicator_cloud, load_scheme)
 from .cloud import assign_grade  # unused; stays bound because perfbench/spans.py wraps it by name
 from .combiner import combine_weights
-from .dataprep import (MISSING, DataMatrix, json_float, json_int, json_object, json_value, load_data_csv,
+from .dataprep import (MISSING, DataMatrix, json_float, json_int, json_object, json_str, json_value, load_data_csv,
                        min_max_normalize, read_json)
 from .ewm import MIN_OBJECTS, WeightVector, entropy_weights
 from .fce import fce_score, membership_matrix
@@ -111,7 +111,7 @@ class PipelineConfig(NamedTuple):
             except ValueError:
                 raise ValueError(f"environment variable {ENV_SEED}: invalid seed {env!r}") from None
         cfg = PipelineConfig(
-            scenario=value("scenario", str),
+            scenario=value("scenario", json_str),
             hierarchy=value("hierarchy", base.joinpath),
             criterion_matrix=value("criterion_matrix", base.joinpath),
             indicator_matrices=value("indicator_matrices", refs, {}),
@@ -248,7 +248,7 @@ def load_inputs(cfg: PipelineConfig) -> PipelineInputs:
                          f"got {len(data.object_ids)}")
     try:
         z = min_max_normalize(data, h.cost_leaves())
-    except ValueError as e:  # a non-finite cell
+    except ValueError as e:  # a non-finite cell or an overflowing range
         raise ValueError(f"{cfg.data}: {e}") from None
     ratings = load_data_csv(cfg.ratings, leaves)
     if len(ratings.object_ids) < MIN_SAMPLES:

@@ -302,6 +302,17 @@ def test_diagram_escapes_band_labels_and_writes_utf8():
     assert b">poor &amp; &lt;60</text>" in svg and b">fair &gt; 60</text>" in svg
 
 
+@pytest.mark.parametrize("seed", [0, 1, 7, 42])
+def test_the_widest_band_at_the_largest_he_ratio_draws_finite_droplets(seed):
+    # one band over [0, 100] has the largest En, and He = MAX_HE_RATIO * En
+    scheme = GradeScheme(bands=(("all", 0.0, 100.0),), he_ratio=GradeScheme.MAX_HE_RATIO)
+    [(_, band)] = scheme.clouds()
+    droplets = forward_cloud(band, 20_000, seed)
+    assert np.isfinite(droplets.x).all() and np.isfinite(droplets.mu).all()
+    svg = cloud_diagram(band, scheme, seed=seed).lower()
+    assert b"nan" not in svg and b"inf" not in svg
+
+
 # -- the engine's limits -----------------------------------------------------------
 
 def test_scaled_run_writes_complete_artifacts(scaled_run):

@@ -262,6 +262,14 @@ def test_scheme_rejects_gaps_and_overlaps():
         GradeScheme(bands=(("a", 0.0, 90.0),))
 
 
+def test_scheme_bounds_he_ratio():
+    assert DEFAULT_SCHEME._replace(he_ratio=GradeScheme.MAX_HE_RATIO).he_ratio == 10
+    with pytest.raises(ValueError, match=r"he_ratio must be at most 10, got 1e\+300"):
+        DEFAULT_SCHEME._replace(he_ratio=1e300)
+    with pytest.raises(ValueError, match="he_ratio must be positive"):
+        DEFAULT_SCHEME._replace(he_ratio=float("nan"))
+
+
 def test_scheme_rejects_repeated_label():
     # a repeated label would let the later band's similarity overwrite the earlier one's
     with pytest.raises(ValueError, match="'low' is repeated"):

@@ -664,6 +664,12 @@ BROKEN_INPUTS = [
     pytest.param(lambda root: None, ["--tau", "nan"], None, "tau must be positive, got nan", id="tau-flag-nan"),
     pytest.param(lambda root: None, ["--tau", "inf"], None, "tau must be positive and finite, got inf",
                  id="tau-flag-inf"),
+    # a scenario is a JSON string, never the str() of another value
+    *[pytest.param(_edit_json("config_before.json", lambda doc, v=v: doc.update(scenario=v)), [],
+                   "config_before.json", f"invalid value {v!r} for key 'scenario': expected a JSON string",
+                   id=f"scenario-{json.dumps(v)}") for v in (None, {"a": 1})],
+    pytest.param(_edit_json("scheme.json", lambda doc: doc.update(he_ratio=1e300)), [], "scheme.json",
+                 "he_ratio must be at most 10, got 1e+300", id="scheme-he_ratio-1e300"),
     pytest.param(_edit_json("config_before.json", lambda doc: doc.update(aggregation="bogus")), [],
                  "config_before.json", "invalid value 'bogus' for key 'aggregation'", id="aggregation-bogus"),
     pytest.param(_edit_json("config_before.json", lambda doc: doc["indicator_matrices"].update(
@@ -705,6 +711,9 @@ BROKEN_INPUTS = [
       for name in ("indicators.csv", "ratings_before.csv", "judgment/C1.csv")],
     pytest.param(_set_cells("indicators.csv", (1, 1, "nan")), [], "indicators.csv",
                  "non-finite value at object 'site1', indicator 'C11'", id="data-nan"),
+    # each cell is finite, but max - min overflows a float
+    pytest.param(_set_cells("indicators.csv", (1, 1, "1e308"), (2, 1, "-1e308")), [], "indicators.csv",
+                 "column 'C11': range overflows", id="data-range-overflows"),
     pytest.param(_keep_lines("indicators.csv", 2), [], "indicators.csv",
                  "entropy weighting needs at least 2 evaluation objects, got 1", id="data-one-object"),
     pytest.param(_keep_lines("ratings_before.csv", 10), [], "ratings_before.csv",
