@@ -188,7 +188,7 @@ def aggregate_clouds(children: list[CloudParams], w, strategy: str = "linear") -
         raise ValueError(f"{len(children)} clouds but {weights.size} weights")
     if abs(weights.sum() - 1.0) > 1e-9 or (weights < 0).any():
         raise ValueError("aggregation weights must be a simplex vector")
-    ex, en, he = np.array(children, dtype=float).T.copy()  # contiguous rows: a strided one dots other bits
+    ex, en, he = np.array([*zip(*children)])  # one contiguous row per field: a strided one dots other bits
     # a child's He > 0 implies its En > 0, but a tiny weight can round its En term to 0
     # and not its He term; dropping that He term keeps the parent's En = 0 => He = 0
     if strategy == "linear":

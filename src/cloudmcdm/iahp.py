@@ -152,10 +152,10 @@ def _saaty(upper: np.ndarray, n: int) -> np.ndarray:
     triangle is rebuilt exactly via r_ji = 1 / r_ij so reciprocity holds."""
     i, k = _upper(n)
     r = np.interp(np.maximum(upper, 1.0 - upper), PREFERENCE_VALUES[8:], SAATY_VALUES[8:])
-    upper = np.where(upper < 0.5, 1.0 / r, r)
-    j = np.ones((*upper.shape[:-1], n, n))
-    j[..., i, k] = upper
-    j[..., k, i] = 1.0 / upper
+    r = np.where(upper < 0.5, 1.0 / r, r)
+    j = np.ones((*r.shape[:-1], n, n))
+    j[..., i, k] = r
+    j[..., k, i] = 1.0 / r
     return j
 
 
