@@ -125,7 +125,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, KeyError, OSError) as e:
+    except (ValueError, OSError) as e:
         # an OSError names its file as every other input error does: path first
         named = isinstance(e, OSError) and e.filename is not None
         print(f"error: {e.filename}: {e.strerror}" if named else f"error: {e}", file=sys.stderr)

@@ -212,7 +212,6 @@ def load_data_csv(path: str | Path, indicator_ids: list[str] | None = None) -> D
     if len(set(header)) != len(header):
         dup = next(c for i, c in enumerate(header) if c in header[:i])
         raise ValueError(f"{path}: duplicate column id {dup!r}")
-    d = DataMatrix(tuple(object_ids), tuple(header), values)
     if indicator_ids is not None:
         if set(header) != set(indicator_ids):
             missing = sorted(set(indicator_ids) - set(header))
@@ -220,5 +219,5 @@ def load_data_csv(path: str | Path, indicator_ids: list[str] | None = None) -> D
             raise ValueError(f"{path}: column mismatch; missing {missing}, unexpected {extra}")
         column = {c: k for k, c in enumerate(header)}
         # copy even for the identity order: the copy is F-contiguous, and the report's sums depend on that layout
-        d = DataMatrix(d.object_ids, tuple(indicator_ids), d.values[:, [column[i] for i in indicator_ids]])
-    return d
+        header, values = indicator_ids, values[:, [column[i] for i in indicator_ids]]
+    return DataMatrix(tuple(object_ids), tuple(header), values)

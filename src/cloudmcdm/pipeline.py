@@ -183,19 +183,11 @@ class EvaluationReport(NamedTuple):
         written by one orjson call. doc is `to_dict` with every float at REPORT_DIGITS significant
         digits, which a one-ulp platform difference changes only across a rounding boundary."""
         import orjson  # local import: validate and weights never load it
-        self._check_simplex()
         spliced = []
         raw = orjson.dumps(_json_doc(self.to_dict(), spliced),
                            option=orjson.OPT_INDENT_2 | orjson.OPT_APPEND_NEWLINE)
         # every other string orjson wrote is printable ASCII, so only a placeholder reads "\u0000<k>"
         return re.sub(rb'"\\u0000(\d+)"', lambda m: spliced[int(m[1])], raw) if spliced else raw
-
-    def _check_simplex(self) -> None:
-        # defense in depth: every emitted weight table must sit on the simplex
-        for table in [*self.weights["criterion"].values(), *self.weights["indicator_global"].values()]:
-            total = sum(table.values())
-            if abs(total - 1.0) > 1e-9 or any(v < -1e-12 for v in table.values()):
-                raise ValueError(f"weight table leaves the simplex (sum {total})")
 
 
 def _json_doc(doc, spliced: list):
@@ -273,8 +265,8 @@ def _subjective_weights(h: IndexHierarchy, cfg: PipelineConfig) -> dict[str, Wei
     criterion's leaves under its id. The matrices are loaded in that order and
     weighed in one `weigh_judgments` call; those before a file that fails to load
     are weighed first, so the first faulty file in config order is the one named.
-    A group of one needs no matrix and has weight 1; a matrix configured for it is
-    weighed like any other, so it must read `1`.
+    A criterion with one leaf needs no matrix: it is weighed as the order-1 matrix
+    `1`, which gives weight 1, and a matrix configured for it must read `1`.
 
     A matrix whose order does not match its group, that is not a valid reciprocal
     matrix on the 1/9..9 scale or that the repair cannot fix is a ValueError naming
@@ -290,28 +282,24 @@ def _subjective_weights(h: IndexHierarchy, cfg: PipelineConfig) -> dict[str, Wei
         for cid in h.criterion_ids()]
     loaded, failed = [], None
     for key, ids, path, what in groups:
-        if len(ids) == 1 and path is None:
-            continue
         try:
-            if path is None:
+            if path is None and len(ids) > 1:
                 raise ValueError(f"{config}: no judgment matrix configured for criterion {key!r}")
-            j = load_judgment_csv(path)
+            j = np.ones((1, 1)) if path is None else load_judgment_csv(path)
             if j.shape[0] != len(ids):
                 raise ValueError(f"{path}: order {j.shape[0]} does not match {len(ids)} {what}")
         except (ValueError, OSError) as e:
             failed = e
             break
-        loaded.append((key, path, j))
-    weighed = weigh_judgments([j for _, _, j in loaded], cfg.repair)
-    for (_, path, _), got in zip(loaded, weighed):
+        loaded.append((key, ids, path, j))
+    weighed = weigh_judgments([j for *_, j in loaded], cfg.repair)
+    for (_, _, path, _), got in zip(loaded, weighed):
         if isinstance(got, Exception):
             why = "judgment-matrix repair failed: " if isinstance(got, RepairError) else ""
             raise ValueError(f"{path}: {why}{got}") from None
     if failed:
         raise failed
-    weights = {key: got[1] for (key, _, _), got in zip(loaded, weighed)}
-    return {key: WeightVector(tuple(ids), weights[key] if key in weights else np.ones(1))
-            for key, ids, _, _ in groups}
+    return {key: WeightVector(tuple(ids), got[1]) for (key, ids, _, _), got in zip(loaded, weighed)}
 
 
 def _by_criterion(h: IndexHierarchy, w: WeightVector) -> tuple[WeightVector, dict[str, WeightVector]]:
@@ -381,8 +369,7 @@ def run_pipeline(config: PipelineConfig | str | Path, out_dir: str | Path | None
     crit_entries = {cid: {"ex": cloud.ex, "en": cloud.en, "he": cloud.he, "grade": g, "similarity": table}
                     for (cid, cloud), (g, table) in zip(crit_clouds.items(), crit_grades)}
 
-    leaf_scores = [min(100.0, max(0.0, leaf_clouds[i].ex)) for i in inputs.leaves]
-    m = membership_matrix(leaf_scores, inputs.scheme)
+    m = membership_matrix([leaf_clouds[i].ex for i in inputs.leaves], inputs.scheme)
     fce = fce_score(m, ws.indicator_global["combined"], inputs.scheme)
 
     report = EvaluationReport(
