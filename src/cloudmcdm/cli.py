@@ -67,6 +67,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_droplets(args) -> int:
+    if args.n < 1:
+        raise ValueError(f"--n: droplet count must be at least 1, got {args.n}")
     cfg = _load_config(args)
     inputs = load_inputs(cfg)
     leaf_clouds, crit_clouds, comprehensive = score_clouds(inputs, compute_weights(inputs), cfg)

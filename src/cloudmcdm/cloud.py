@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dataprep import CheckedRecord, json_float, json_value, read_json
+from .dataprep import CheckedRecord, json_float, json_str, json_value, read_json
 
 # Fewest droplets per direction that a similarity estimate, and fewest rows that an
 # evaluation's droplets.csv, may rest on.
@@ -103,7 +103,7 @@ def load_scheme(path: str | Path) -> GradeScheme:
     invalid scheme are ValueErrors naming the file."""
     doc = read_json(path)
     bands = tuple(tuple(json_value(path, band, key, convert, where=f"bands[{k}]")
-                        for key, convert in (("label", str), ("lower", json_float), ("upper", json_float)))
+                        for key, convert in (("label", json_str), ("lower", json_float), ("upper", json_float)))
                   for k, band in enumerate(json_value(path, doc, "bands", list)))
     he_ratio = json_value(path, doc, "he_ratio", json_float, GradeScheme._field_defaults["he_ratio"])
     try:

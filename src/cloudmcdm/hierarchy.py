@@ -87,13 +87,16 @@ def _parse_node(obj, parent_id: str | None, depth: int, nodes: dict[str, Indicat
     children_objs = obj.get("children", [])
     if not isinstance(children_objs, list):
         raise ValueError(f"node {nid!r}: 'children' must be a list, got {children_objs!r}")
+    label = obj.get("label", nid)
+    if not isinstance(label, str):
+        raise ValueError(f"node {nid!r}: 'label' must be a JSON string, got {label!r}")
     if depth >= 2 and children_objs:
         raise ValueError(f"node {nid!r}: nesting deeper than three layers is not supported")
     if nid in nodes:
         raise ValueError(f"duplicate node id {nid!r}")
     nodes[nid] = None  # reserve the pre-order slot; the node is built once its children are
     children = tuple(_parse_node(c, nid, depth + 1, nodes) for c in children_objs)
-    nodes[nid] = IndicatorNode(id=nid, label=str(obj.get("label", nid)), layer=LAYERS[depth],
+    nodes[nid] = IndicatorNode(id=nid, label=label, layer=LAYERS[depth],
                                direction=obj.get("direction"),
                                parent_id=parent_id, children=children)
     return nid

@@ -227,7 +227,7 @@ def test_every_weight_table_lies_on_the_simplex(inputs):
         assert (table.weights >= 0).all() and abs(table.weights.sum() - 1.0) <= 1e-9, table
     doc = ws.to_dict()
     for table in [*doc["criterion"].values(), *doc["indicator_global"].values()]:
-        assert abs(sum(table.values()) - 1.0) <= 1e-9  # the sum report.json's simplex check takes
+        assert abs(sum(table.values()) - 1.0) <= 1e-9  # as a reader sums a table of report.json
 
 
 def test_fce_tracks_cloud_score(report_before, report_after):
@@ -333,9 +333,11 @@ def test_one_leaf_criterion_still_loads_a_configured_matrix(tmp_path, capsys, ma
 
 
 def test_one_leaf_criterion_with_an_order_1_matrix(tmp_path):
-    # the configured matrix is weighed like any other and gives the leaf weight 1
+    # the configured matrix is weighed like any other and gives the leaf weight 1, the
+    # bytes of the criterion without a matrix, which is weighed as the matrix `1`
     _copy_demo(tmp_path)
     _one_leaf_C4(tmp_path)
+    assert cli_main(["evaluate", str(tmp_path / "config_before.json"), "--out", str(tmp_path / "none")]) == 0
     (tmp_path / "judgment" / "C41.csv").write_text("1\n")
     _edit_json("config_before.json", lambda doc: doc["indicator_matrices"].update(C4="judgment/C41.csv"))(tmp_path)
     config = str(tmp_path / "config_before.json")
@@ -343,6 +345,7 @@ def test_one_leaf_criterion_with_an_order_1_matrix(tmp_path):
         assert cli_main(argv) == 0, argv
     report = run_pipeline(config)
     assert report.weights["indicator_local_combined"]["C4"] == {"C41": 1.0}
+    assert (tmp_path / "out" / "report.json").read_bytes() == (tmp_path / "none" / "report.json").read_bytes()
 
 
 @pytest.mark.parametrize("entry, message", [("5", "judgment matrix diagonal must be 1"),
@@ -670,6 +673,17 @@ BROKEN_INPUTS = [
                    id=f"scenario-{json.dumps(v)}") for v in (None, {"a": 1})],
     pytest.param(_edit_json("scheme.json", lambda doc: doc.update(he_ratio=1e300)), [], "scheme.json",
                  "he_ratio must be at most 10, got 1e+300", id="scheme-he_ratio-1e300"),
+    pytest.param(_edit_json("scheme.json", lambda doc: doc.update(bands=[])), [], "scheme.json",
+                 "scheme needs at least one band", id="scheme-no-bands"),
+    pytest.param(_edit_json("scheme.json", lambda doc: doc["bands"][1].update(upper=60)), [], "scheme.json",
+                 "band 'fair': lower 60.0 must be below upper 60.0", id="scheme-empty-band"),
+    # a label is a JSON string, never the str() of another value
+    *[pytest.param(_edit_json("scheme.json", lambda doc, v=v: doc["bands"][0].update(label=v)), [], "scheme.json",
+                   f"invalid value {v!r} for key 'bands[0].label': expected a JSON string",
+                   id=f"scheme-label-{json.dumps(v)}") for v in (None, 5)],
+    pytest.param(_edit_json("hierarchy.json", lambda doc: doc["root"]["children"][3].update(label={"a": 1})), [],
+                 "hierarchy.json", "node 'C4': 'label' must be a JSON string, got {'a': 1}",
+                 id="hierarchy-label-object"),
     pytest.param(_edit_json("config_before.json", lambda doc: doc.update(aggregation="bogus")), [],
                  "config_before.json", "invalid value 'bogus' for key 'aggregation'", id="aggregation-bogus"),
     pytest.param(_edit_json("config_before.json", lambda doc: doc["indicator_matrices"].update(
@@ -685,6 +699,11 @@ BROKEN_INPUTS = [
                  id="hierarchy-non-ascii-id"),
     pytest.param(_edit_json("hierarchy.json", lambda doc: doc["root"].update(children=[])), [], "hierarchy.json",
                  "invalid hierarchy: root has no criteria", id="hierarchy-no-criteria"),
+    pytest.param(_edit_json("hierarchy.json", lambda doc: doc.update(tree=doc.pop("root"))), [], "hierarchy.json",
+                 "hierarchy document must have a 'root' object", id="hierarchy-no-root"),
+    pytest.param(_edit_json("hierarchy.json", lambda doc: doc["root"]["children"][3].update(children={"C41": {}})),
+                 [], "hierarchy.json", "node 'C4': 'children' must be a list, got {'C41': {}}",
+                 id="hierarchy-children-object"),
     # parsing keeps what the file says: a direction on a criterion with leaves, an id of any JSON type
     pytest.param(_edit_json("hierarchy.json", lambda doc: doc["root"]["children"][3].update(direction="cost")), [],
                  "hierarchy.json", "invalid hierarchy: non-leaf 'C4' must not carry a direction",
@@ -875,6 +894,14 @@ def test_droplets_cli_unknown_level(capsys):
     rc = cli_main(["droplets", str(DEMO / "config_before.json"), "--level", "XX", "--n", "10"])
     assert rc == 2
     assert capsys.readouterr().err == "error: unknown level id 'XX'\n"
+
+
+@pytest.mark.parametrize("n", [0, -5])
+def test_droplets_cli_rejects_a_count_below_1(capsys, n):
+    # the flag's value is named as the --seed errors name theirs
+    rc = cli_main(["droplets", str(DEMO / "config_before.json"), "--level", "C1", "--n", str(n)])
+    assert rc == 2
+    assert capsys.readouterr() == ("", f"error: --n: droplet count must be at least 1, got {n}\n")
 
 
 def test_droplets_level_lookup(tmp_path):
