@@ -129,21 +129,6 @@ def to_preference(j: np.ndarray) -> np.ndarray:
     return PREFERENCE_VALUES[idx]
 
 
-def from_preference(p: np.ndarray) -> np.ndarray:
-    """Piecewise-linear inverse of the scale table, of one relation or a (k, n, n) stack:
-    its range checked, then `_saaty` of its upper triangles."""
-    p = np.asarray(p, dtype=float)
-    if p.ndim not in (2, 3) or p.shape[-1] != p.shape[-2]:
-        raise ValueError(f"preference relation must be square, got shape {p.shape}")
-    bad = (p < 0.1 - _SCALE_TOL) | (p > 0.9 + _SCALE_TOL)
-    if bad.any():
-        cell = tuple(np.argwhere(bad)[0])
-        raise ValueError(f"preference value {float(p[cell])} at cell ({cell[-2] + 1},{cell[-1] + 1}) "
-                         "outside [0.1, 0.9]")
-    i, k = _upper(p.shape[-1])
-    return _saaty(np.clip(p[..., i, k], 0.1, 0.9), p.shape[-1])
-
-
 def _saaty(upper: np.ndarray, n: int) -> np.ndarray:
     """Order-n reciprocal matrices on the 1/9..9 scale from (..., m) upper triangles of
     preferences in [0.1, 0.9], in row-major order. Each p is mapped through max(p, 1 - p),

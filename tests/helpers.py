@@ -9,7 +9,9 @@ from pathlib import Path
 import numpy as np
 
 from cloudmcdm.cloud import GradeScheme
-from cloudmcdm.iahp import SAATY_VALUES
+from cloudmcdm.iahp import (RANDOM_INDEX, SAATY_VALUES, RepairError, RepairTrace, to_preference,
+                            validate_judgment)
+from cloudmcdm.iahp import _SCALE_TOL, _saaty, _upper
 from cloudmcdm.pipeline import REPORT_DIGITS
 
 REPO = Path(__file__).resolve().parents[1]
@@ -75,6 +77,100 @@ def perturbed_judgment(n: int, rng: np.random.Generator, wobble: int = 3) -> np.
             j[i, k] = SAATY_VALUES[idx]
             j[k, i] = 1.0 / j[i, k]
     return j
+
+
+def from_preference(p: np.ndarray) -> np.ndarray:
+    """Piecewise-linear inverse of the scale table, of one relation or a (k, n, n) stack:
+    its range checked, then `iahp._saaty` of its upper triangles, as the repair maps
+    its iterates back."""
+    p = np.asarray(p, dtype=float)
+    if p.ndim not in (2, 3) or p.shape[-1] != p.shape[-2]:
+        raise ValueError(f"preference relation must be square, got shape {p.shape}")
+    bad = (p < 0.1 - _SCALE_TOL) | (p > 0.9 + _SCALE_TOL)
+    if bad.any():
+        cell = tuple(np.argwhere(bad)[0])
+        raise ValueError(f"preference value {float(p[cell])} at cell ({cell[-2] + 1},{cell[-1] + 1}) "
+                         "outside [0.1, 0.9]")
+    i, k = _upper(p.shape[-1])
+    return _saaty(np.clip(p[..., i, k], 0.1, 0.9), p.shape[-1])
+
+
+def reference_row_means(x, n):
+    # the reference's log-odds from the upper-triangle log-odds x, written out: the
+    # antisymmetric matrix filled cell by cell, each row's mean, r_i - r_j per cell
+    full = np.zeros((n, n))
+    cells = list(zip(*np.triu_indices(n, 1)))
+    for (i, j), v in zip(cells, x):
+        full[i, j], full[j, i] = v, -v
+    r = [np.sum(row) / n for row in full]
+    return np.array([r[i] - r[j] for i, j in cells])
+
+
+def power_iteration_one(a: np.ndarray, tol: float = 1e-12, max_sweeps: int = 10_000
+                         ) -> tuple[np.ndarray, float]:
+    # iahp._power_iteration before the stacked sweeps, verbatim: one matrix, one vector
+    n = a.shape[0]
+    v = np.full(n, 1.0 / n)
+    for _ in range(max_sweeps):
+        av = a @ v
+        nxt = av / av.sum()
+        if np.abs(nxt - v).max() < tol:
+            v = nxt
+            break
+        v = nxt
+    else:
+        raise RuntimeError("power iteration did not converge")
+    av = a @ v
+    lam = float(np.mean(av / v))
+    return v / v.sum(), lam
+
+
+def consistency_ratio_one(j):
+    # consistency_ratio before weigh_judgments, verbatim, on the power iteration above
+    validate_judgment(j)
+    n = j.shape[0]
+    _, lam = power_iteration_one(np.asarray(j, dtype=float))
+    ci = (lam - n) / (n - 1)
+    ri = RANDOM_INDEX[n]
+    cr = 0.0 if ri == 0 else ci / ri
+    return lam, ci, cr
+
+
+def auto_correct_per_call_indices(j, cfg):
+    # auto_correct on one matrix, written out: the reference from reference_row_means, the distance over the upper triangle and the pull in log-odds, and its
+    # CR test on the one-matrix power iteration
+    validate_judgment(j)
+    trace = RepairTrace()
+    n = j.shape[0]
+    i, k = np.triu_indices(n, 1)
+    u = to_preference(j)[i, k]
+    x = np.log(u / (1.0 - u))
+    xbar = reference_row_means(x, n)
+    ubar = 1.0 / (1.0 + np.exp(-xbar))
+    while True:
+        trace.distances.append(float(np.sqrt(2.0 * np.sum((u - ubar) ** 2))))
+        if trace.distances[-1] < cfg.tau:
+            break
+        if trace.iterations == cfg.max_iter:
+            raise RepairError(
+                f"repair did not reach d < {cfg.tau} within {cfg.max_iter} iterations "
+                f"(last d = {trace.distances[-1]:.4f})",
+                trace,
+            )
+        x = (1.0 - cfg.sigma) * x + cfg.sigma * xbar
+        u = 1.0 / (1.0 + np.exp(-x))
+    if trace.iterations == 0:
+        repaired = np.asarray(j, dtype=float).copy()
+    else:
+        p = np.full((n, n), 0.5)
+        p[i, k] = np.clip(u, 0.1, 0.9)
+        p[k, i] = 1.0 - p[i, k]
+        repaired = from_preference(p)
+    _, _, cr = consistency_ratio_one(repaired)
+    trace.final_cr = cr
+    if cr >= 0.1:
+        raise RepairError(f"repaired matrix still fails the CR test (CR = {cr:.4f})", trace)
+    return repaired, trace
 
 
 def deviation_matrix(z) -> np.ndarray:

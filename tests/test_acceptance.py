@@ -15,13 +15,12 @@ from cloudmcdm.iahp import (
     SAATY_VALUES,
     auto_correct,
     consistency_ratio,
-    from_preference,
     principal_weights,
     to_preference,
 )
 from cloudmcdm.pipeline import compare_scenarios
 
-from helpers import DEMO, consistent_judgment, deviation_matrix, perturbed_judgment
+from helpers import DEMO, consistent_judgment, deviation_matrix, from_preference, perturbed_judgment
 
 
 def verdict(num, name, ok, detail=""):

@@ -368,11 +368,10 @@ _DOCS = st.dictionaries(_STRINGS, _VALUES, max_size=5)
 @settings(max_examples=200, deadline=None)
 @given(_STRINGS, _INTS, _DOCS)
 def test_report_bytes_equal_the_stdlib_encoder(text, seed, doc):
-    # every key and value orjson would write otherwise goes through json.dumps; the
-    # weight tables are empty, so _check_simplex passes whatever else they hold
+    # every key and value orjson would write otherwise goes through json.dumps
     report = EvaluationReport(
         scenario=text, seed=seed, aggregation="linear", hierarchy_digest=text, scheme=doc,
-        weights={**doc, "criterion": {}, "indicator_global": {}}, criterion_clouds=doc,
+        weights=doc, criterion_clouds=doc,
         comprehensive_cloud={text: doc}, grade=text, similarity={}, fce={"score": []})
     want = json.dumps(round_floats(report.to_dict()), sort_keys=True, indent=2) + "\n"
     assert report.to_json_bytes() == want.encode()

@@ -11,14 +11,11 @@ from hypothesis import strategies as st
 
 from cloudmcdm.iahp import (
     PREFERENCE_VALUES,
-    RANDOM_INDEX,
     RepairConfig,
     RepairError,
-    RepairTrace,
     SAATY_VALUES,
     auto_correct,
     consistency_ratio,
-    from_preference,
     load_judgment_csv,
     parse_scale_value,
     principal_weights,
@@ -28,7 +25,8 @@ from cloudmcdm.iahp import (
 )
 from cloudmcdm.iahp import _distances, _probabilities, _pull, _references, _upper
 
-from helpers import consistent_judgment, perturbed_judgment
+from helpers import (auto_correct_per_call_indices, consistent_judgment, from_preference, perturbed_judgment,
+                     power_iteration_one, reference_row_means)
 
 CYCLIC_3 = np.array([[1, 3, 1 / 5], [1 / 3, 1, 7], [5, 1 / 7, 1]])
 
@@ -153,17 +151,6 @@ def _reference_per_cell(p):
     return out
 
 
-def _reference_row_means(x, n):
-    # the reference's log-odds from the upper-triangle log-odds x, written out: the
-    # antisymmetric matrix filled cell by cell, each row's mean, r_i - r_j per cell
-    full = np.zeros((n, n))
-    cells = list(zip(*np.triu_indices(n, 1)))
-    for (i, j), v in zip(cells, x):
-        full[i, j], full[j, i] = v, -v
-    r = [np.sum(row) / n for row in full]
-    return np.array([r[i] - r[j] for i, j in cells])
-
-
 def _random_relation(n, rng, knots):
     u = rng.choice(PREFERENCE_VALUES, (n, n)) if knots else rng.uniform(0.01, 0.99, (n, n))
     return np.triu(u, 1) + np.tril(1.0 - u.T, -1) + 0.5 * np.eye(n)
@@ -177,7 +164,7 @@ def test_reference_matches_per_cell_chain_loop(knots):
         for _ in range(8):
             p = _random_relation(n, rng, knots)
             x = logits(p)
-            np.testing.assert_array_equal(_references(x[None], n)[0], _reference_row_means(x, n))
+            np.testing.assert_array_equal(_references(x[None], n)[0], reference_row_means(x, n))
             np.testing.assert_allclose(reference_of(p), _reference_per_cell(p), rtol=0, atol=1e-14)
 
 
@@ -397,74 +384,6 @@ def test_repair_converges_within_budget_or_raises_with_its_trace(n, seed, wobble
     validate_judgment(out)
 
 
-def _power_iteration_one(a: np.ndarray, tol: float = 1e-12, max_sweeps: int = 10_000
-                         ) -> tuple[np.ndarray, float]:
-    # iahp._power_iteration before the stacked sweeps, verbatim: one matrix, one vector
-    n = a.shape[0]
-    v = np.full(n, 1.0 / n)
-    for _ in range(max_sweeps):
-        av = a @ v
-        nxt = av / av.sum()
-        if np.abs(nxt - v).max() < tol:
-            v = nxt
-            break
-        v = nxt
-    else:
-        raise RuntimeError("power iteration did not converge")
-    av = a @ v
-    lam = float(np.mean(av / v))
-    return v / v.sum(), lam
-
-
-def _consistency_ratio_one(j):
-    # consistency_ratio before weigh_judgments, verbatim, on the power iteration above
-    validate_judgment(j)
-    n = j.shape[0]
-    _, lam = _power_iteration_one(np.asarray(j, dtype=float))
-    ci = (lam - n) / (n - 1)
-    ri = RANDOM_INDEX[n]
-    cr = 0.0 if ri == 0 else ci / ri
-    return lam, ci, cr
-
-
-def _auto_correct_per_call_indices(j, cfg):
-    # auto_correct on one matrix, written out: the reference from the row-mean loop
-    # above, the distance over the upper triangle and the pull in log-odds, and its
-    # CR test on the one-matrix power iteration
-    validate_judgment(j)
-    trace = RepairTrace()
-    n = j.shape[0]
-    i, k = np.triu_indices(n, 1)
-    u = to_preference(j)[i, k]
-    x = np.log(u / (1.0 - u))
-    xbar = _reference_row_means(x, n)
-    ubar = 1.0 / (1.0 + np.exp(-xbar))
-    while True:
-        trace.distances.append(float(np.sqrt(2.0 * np.sum((u - ubar) ** 2))))
-        if trace.distances[-1] < cfg.tau:
-            break
-        if trace.iterations == cfg.max_iter:
-            raise RepairError(
-                f"repair did not reach d < {cfg.tau} within {cfg.max_iter} iterations "
-                f"(last d = {trace.distances[-1]:.4f})",
-                trace,
-            )
-        x = (1.0 - cfg.sigma) * x + cfg.sigma * xbar
-        u = 1.0 / (1.0 + np.exp(-x))
-    if trace.iterations == 0:
-        repaired = np.asarray(j, dtype=float).copy()
-    else:
-        p = np.full((n, n), 0.5)
-        p[i, k] = np.clip(u, 0.1, 0.9)
-        p[k, i] = 1.0 - p[i, k]
-        repaired = from_preference(p)
-    _, _, cr = _consistency_ratio_one(repaired)
-    trace.final_cr = cr
-    if cr >= 0.1:
-        raise RepairError(f"repaired matrix still fails the CR test (CR = {cr:.4f})", trace)
-    return repaired, trace
-
-
 def _repair_outcome(correct, j, cfg):
     try:
         out, trace = correct(j, cfg)
@@ -492,10 +411,10 @@ def test_auto_correct_matches_the_per_call_index_loop(n, seed, kind, sigma, tau,
         x = logits(p)
         for _ in range(max_iter):
             xbar = _references(x[None], n)[0]
-            assert np.array_equal(xbar, _reference_row_means(x, n))
+            assert np.array_equal(xbar, reference_row_means(x, n))
             x = _pull(x, xbar, sigma)
     got = _repair_outcome(auto_correct, j, cfg)
-    want = _repair_outcome(_auto_correct_per_call_indices, j, cfg)
+    want = _repair_outcome(auto_correct_per_call_indices, j, cfg)
     assert got[0] == want[0] and got[2:] == want[2:]
     assert (got[1] is None and want[1] is None) or np.array_equal(got[1], want[1])
 
@@ -526,11 +445,11 @@ def _weighed_outcome(got):
 def _weighed_one_at_a_time(j, cfg):
     # the pipeline before weigh_judgments: auto_correct, then principal_weights on its result
     try:
-        repaired, trace = _auto_correct_per_call_indices(j, cfg)
+        repaired, trace = auto_correct_per_call_indices(j, cfg)
     except (RepairError, ValueError) as e:
         return e
     validate_judgment(repaired)
-    return repaired, _power_iteration_one(repaired)[0], trace
+    return repaired, power_iteration_one(repaired)[0], trace
 
 
 KINDS = ["perturbed", "ones", "ninths", "off-scale", "not-reciprocal"]
