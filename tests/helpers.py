@@ -107,7 +107,7 @@ def reference_row_means(x, n):
 
 
 def power_iteration_one(a: np.ndarray, tol: float = 1e-12, max_sweeps: int = 10_000
-                         ) -> tuple[np.ndarray, float]:
+                        ) -> tuple[np.ndarray, float]:
     # iahp._power_iteration before the stacked sweeps, verbatim: one matrix, one vector
     n = a.shape[0]
     v = np.full(n, 1.0 / n)
@@ -137,8 +137,9 @@ def consistency_ratio_one(j):
 
 
 def auto_correct_per_call_indices(j, cfg):
-    # auto_correct on one matrix, written out: the reference from reference_row_means, the distance over the upper triangle and the pull in log-odds, and its
-    # CR test on the one-matrix power iteration
+    # auto_correct on one matrix, written out: the reference from reference_row_means,
+    # the distance over the upper triangle and the pull in log-odds, and its CR test on
+    # the one-matrix power iteration
     validate_judgment(j)
     trace = RepairTrace()
     n = j.shape[0]

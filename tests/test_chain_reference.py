@@ -42,15 +42,15 @@ def _ahp(path: Path | None, n: int, repair: RepairConfig) -> np.ndarray:
     return _eigenweights(repaired)
 
 
-def _entropy(z: np.ndarray) -> tuple[list[float], list[float]]:
+def _entropy(z: np.ndarray) -> tuple[np.ndarray, list[float]]:
     """Entropy weights and entropies of a normalized matrix, one column at a time."""
     m, n = z.shape
     entropies = []
     for k in range(n):
         p = z[:, k] / z[:, k].sum()
         entropies.append(-sum(float(v * math.log(v)) for v in p if v > 0) / math.log(m))
-    d = [1.0 - e for e in entropies]
-    return [v / sum(d) for v in d], entropies
+    d = np.array([1.0 - e for e in entropies])
+    return d / d.sum(), entropies
 
 
 def _fuse(z: np.ndarray, ws: np.ndarray, wo: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -104,7 +104,6 @@ def reference_chain(config: Path) -> tuple[dict, dict]:
         lo, hi = x[:, k].min(), x[:, k].max()
         z[:, k] = 0.5 if hi == lo else ((hi - x[:, k]) if cost[k] else (x[:, k] - lo)) / (hi - lo)
     global_o, entropies = _entropy(z)
-    global_o = np.array(global_o)
 
     theta, combined = _fuse(z, global_s, global_o)
 
