@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import codecs
 import csv
+import itertools
 import json
 import math
 from collections import namedtuple
@@ -68,6 +70,7 @@ def min_max_normalize(d: DataMatrix, cost: list[bool] | np.ndarray) -> DataMatri
 # Characters that keep a file off the bulk path: quotes and CR need the csv
 # reader, and numpy strips \x1c-\x1f as whitespace where float() rejects them.
 _NOT_PLAIN = '"\r\x1c\x1d\x1e\x1f'
+_CHUNK = 16384  # bytes per read of a plain CSV: small, so the reads add little to a process's pages
 
 
 def read_json(path: str | Path):
@@ -139,6 +142,27 @@ def read_csv_rows(path: str | Path) -> list[list[str]]:
             raise ValueError(f"{path}: {e}") from None
 
 
+def _plain_lines(f):
+    """The "\\n"-separated lines of binary file `f`, read `_CHUNK` bytes at a time
+    through an incremental UTF-8 decoder; an empty last line is dropped. Each chunk
+    is checked whole: a character of `_NOT_PLAIN`, a line longer than the csv field
+    limit and a byte that is not UTF-8 each raise a ValueError."""
+    limit = csv.field_size_limit()
+    decode = codecs.getincrementaldecoder("utf-8")().decode
+    tail = ""
+    while chunk := f.read(_CHUNK):
+        text = tail + decode(chunk)
+        if any(c in text for c in _NOT_PLAIN):
+            raise ValueError("a character of _NOT_PLAIN")
+        *lines, tail = text.split("\n")
+        if len(text) > limit and (len(tail) > limit or max(map(len, lines), default=0) > limit):
+            raise ValueError("line over the csv field limit")
+        yield from lines
+    decode(b"", final=True)  # a sequence cut off at the end of the file
+    if tail:
+        yield tail
+
+
 def _parse_plain(path: str | Path) -> tuple[list[str], list[str], np.ndarray] | None:
     """Header, object ids and values of a plain CSV in one `np.loadtxt` pass, else None.
 
@@ -147,40 +171,34 @@ def _parse_plain(path: str | Path) -> tuple[list[str], list[str], np.ndarray] | 
     as the header, each of which numpy parses. numpy and float() both end in
     PyOS_string_to_double, so a plain file parses to the same bits either way;
     anything else (blank lines, `1_0`, non-ASCII digits, every error) is left
-    to the csv reader.
+    to the csv reader, even when numpy has already read most of the file.
 
-    Each stage drops its input once its output exists (the bytes, then the
-    text, then each line as its values part replaces it in the list), so no
-    more than two copies of the file are alive at once.
+    The file is read in `_CHUNK`-byte chunks (`_plain_lines`), and each line's
+    values part goes through a generator, which collects the ids as it goes,
+    into one `np.loadtxt` call; no copy of the whole file is held.
     """
-    with open(path, "rb") as f:
-        data = f.read()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError:
-        return None
-    del data
-    if any(c in text for c in _NOT_PLAIN):
-        return None
-    lines = text.split("\n")
-    del text
-    if lines[-1] == "":
-        lines.pop()
-    if len(lines) < 2 or max(map(len, lines)) > csv.field_size_limit():
-        return None
-    header = [c.strip() for c in lines.pop(0).split(",")[1:]]
     ids = []
-    for k, line in enumerate(lines):
-        i, _, lines[k] = line.partition(",")
-        ids.append(i.strip())
-    # numpy skips empty lines, so a row whose only cell is its id must not reach it
-    if not header or not all(lines):
-        return None
-    try:
-        values = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
-    except ValueError:
-        return None
-    if values.shape != (len(lines), len(header)):
+
+    def values_parts(lines):
+        for line in lines:
+            i, _, rest = line.partition(",")
+            if not rest:  # numpy skips empty lines, so a row whose only cell is its id must not reach it
+                raise ValueError("id-only row")
+            ids.append(i.strip())
+            yield rest
+
+    with open(path, "rb") as f:
+        try:
+            lines = _plain_lines(f)
+            header = [c.strip() for c in next(lines, "").split(",")[1:]]
+            first = next(lines, None)
+            if not header or first is None:
+                return None
+            values = np.loadtxt(values_parts(itertools.chain([first], lines)),
+                                delimiter=",", comments=None, ndmin=2)
+        except ValueError:  # numpy's, the checks' and UnicodeDecodeError alike
+            return None
+    if values.shape != (len(ids), len(header)):
         return None
     return header, ids, values
 

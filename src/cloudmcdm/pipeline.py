@@ -253,9 +253,10 @@ def load_inputs(cfg: PipelineConfig) -> PipelineInputs:
             raise ValueError(f"{cfg.ratings}: {what} at sample {ratings.object_ids[s]!r}, "
                              f"indicator {ratings.indicator_ids[k]!r}: {float(ratings.values[s, k])}")
 
-    # the range mask is built only once every rating is known to be finite
-    reject(~np.isfinite(ratings.values), "non-finite rating")
-    reject((ratings.values < 0) | (ratings.values > 100), "rating outside [0, 100]")
+    v = ratings.values
+    if not (v.min() >= 0 and v.max() <= 100):  # NaN fails both; only then are the masks built
+        reject(~np.isfinite(v), "non-finite rating")
+        reject((v < 0) | (v > 100), "rating outside [0, 100]")
     scheme = load_scheme(cfg.scheme) if cfg.scheme else DEFAULT_SCHEME
     return PipelineInputs(h, leaves, data, z, ratings, scheme, _subjective_weights(h, cfg))
 

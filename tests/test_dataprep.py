@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cloudmcdm.dataprep import DataMatrix, _parse_plain, load_data_csv, min_max_normalize
+from cloudmcdm.dataprep import _CHUNK, DataMatrix, _parse_plain, load_data_csv, min_max_normalize
 
 from helpers import DEMO
 
@@ -149,13 +149,18 @@ def test_loaded_values_are_column_major(tmp_path, plain, reverse):
     assert load_data_csv(path, ids).values.flags.f_contiguous
 
 
-def test_loader_holds_one_transient_copy(tmp_path):
-    # 2000 samples x 225 leaves, formatted as perfbench/scaled_inputs.py writes ratings
+def _scaled_ratings(path):
+    """2000 samples x 225 leaves, formatted as perfbench/scaled_inputs.py writes ratings; the leaf ids."""
     rng = np.random.default_rng(0)
     ids = [f"L{k:03d}" for k in range(225)]
-    path = tmp_path / "ratings.csv"
     path.write_text("sample," + ",".join(ids) + "\n" + "".join(
         f"s{r}," + ",".join(f"{v:.4f}" for v in row) + "\n" for r, row in enumerate(rng.uniform(0, 100, (2000, 225)))))
+    return ids
+
+
+def test_loader_holds_one_transient_copy(tmp_path):
+    path = tmp_path / "ratings.csv"
+    ids = _scaled_ratings(path)
     tracemalloc.start()
     try:
         d = load_data_csv(path, ids)
@@ -164,6 +169,20 @@ def test_loader_holds_one_transient_copy(tmp_path):
         tracemalloc.stop()
     assert d.values.shape == (2000, 225)
     assert peak <= 2.5 * d.values.nbytes, peak / d.values.nbytes
+
+
+def test_plain_parse_holds_no_copy_of_the_file(tmp_path):
+    # the file is streamed into numpy in chunks, so the peak is the array numpy grows, not the text
+    path = tmp_path / "ratings.csv"
+    _scaled_ratings(path)
+    tracemalloc.start()
+    try:
+        _, _, values = _parse_plain(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert values.shape == (2000, 225)
+    assert peak <= 1.5 * values.nbytes, peak / values.nbytes
 
 
 def reference_load_data_csv(path, indicator_ids=None) -> DataMatrix:
@@ -276,3 +295,63 @@ def test_loader_matches_reference_on_edge_cases(differential_path, text):
 @given(csv_texts())
 def test_loader_matches_reference_on_generated_files(differential_path, case):
     _assert_loads_like_reference(differential_path, *case)
+
+
+# 2000 rows x 20 columns, about 20 chunks of the plain parse, without their last row;
+# each file below differs from a plain one only there, so the parse fails late
+LONG_BODY = "id," + ",".join(f"c{k}" for k in range(20)) + "\n" + "".join(
+    f"o{r}," + ",".join(f"{(r * 20 + k) % 997 / 7:.4f}" for k in range(20)) + "\n" for r in range(1999))
+LAST_CELLS = ",".join(["50"] * 20)
+LATE_FAULTS = {
+    "quoted-id": f'"o1999",{LAST_CELLS}\n',
+    "x1c-cell": f"o1999,1\x1c,{LAST_CELLS[3:]}\n",
+    "underscore": f"o1999,1_0,{LAST_CELLS[3:]}\n",
+    "ragged-row": f"o1999,{LAST_CELLS[3:]}\n",
+    "cr-line-end": f"o1999,{LAST_CELLS}\r\n",
+    "id-only-row": "o1999\n",
+    "blank-last-line": f"o1999,{LAST_CELLS}\n\n",
+    # no cell is over the csv field limit, but the line is, and spans chunks
+    "long-line": "o1999," + ",".join([" " * (csv.field_size_limit() // 10) + "1"] * 20) + "\n",
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("last", LATE_FAULTS.values(), ids=LATE_FAULTS.keys())
+def test_streamed_parse_fails_late_like_the_reference(differential_path, last):
+    _assert_loads_like_reference(differential_path, LONG_BODY + last)
+    assert _parse_plain(differential_path) is None
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_two_byte_id_across_the_first_chunk_boundary_loads(differential_path):
+    lines = LONG_BODY.splitlines(keepends=True)
+    k = max(k for k in range(len(lines)) if len("".join(lines[:k])) < _CHUNK)  # the line holding the boundary
+    head = "".join(lines[:k])
+    object_id = "x" * (_CHUNK - 1 - len(head)) + "\xe9"  # its two UTF-8 bytes end the first chunk and open the next
+    text = head + object_id + lines[k][lines[k].index(","):] + "".join(lines[k + 1:]) + f"o1999,{LAST_CELLS}\n"
+    assert text.encode()[_CHUNK - 1:_CHUNK + 1] == "\xe9".encode()
+    _assert_loads_like_reference(differential_path, text)
+    assert _parse_plain(differential_path)[1][k - 1] == object_id
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("last", [b"o1999,\xff" + f"{LAST_CELLS[2:]}\n".encode(),
+                                  f"o1999,{LAST_CELLS}".encode() + b"\xc3"], ids=["invalid-byte", "cut-off-sequence"])
+def test_a_last_row_that_is_not_utf8_names_the_file(differential_path, last):
+    differential_path.write_bytes(LONG_BODY.encode() + last)
+    with pytest.raises(UnicodeDecodeError) as want:
+        reference_load_data_csv(differential_path)
+    with pytest.raises(ValueError) as got:
+        load_data_csv(differential_path)
+    assert str(got.value) == f"{differential_path}: {want.value}"  # the reference names no file
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("end", ["\n", ""], ids=["newline", "no-newline"])
+def test_a_field_over_the_limit_across_chunks_names_the_file_and_line(differential_path, end):
+    differential_path.write_text(f"{LONG_BODY}o1999,1{' ' * csv.field_size_limit()},{LAST_CELLS[3:]}{end}")
+    with pytest.raises(csv.Error) as want:
+        reference_load_data_csv(differential_path)
+    with pytest.raises(ValueError) as got:
+        load_data_csv(differential_path)
+    assert str(got.value) == f"{differential_path}: line 2001: {want.value}"  # the reference names neither

@@ -460,6 +460,37 @@ def test_out_of_range_rating_exits_2(tmp_path, capsys):
     assert "outside [0, 100]" in err and "'s3'" in err and "'C15'" in err and "150.0" in err
 
 
+@pytest.mark.parametrize("token", ["0", "-0.0", "100"])
+def test_ratings_at_the_ends_of_the_range_load(tmp_path, capsys, token):
+    _copy_demo(tmp_path)
+    _set_csv_cell(tmp_path / "ratings_before.csv", -1, -1, token)
+    assert cli_main(["validate", str(tmp_path / "config_before.json")]) == 0
+
+
+@pytest.mark.parametrize("token, message", [("nan", "non-finite rating at sample 's200', indicator 'C76': nan"),
+                                            ("inf", "non-finite rating at sample 's200', indicator 'C76': inf"),
+                                            ("-1e-300", "rating outside [0, 100] at sample 's200', "
+                                                        "indicator 'C76': -1e-300"),
+                                            ("100.00000000000001", "rating outside [0, 100] at sample 's200', "
+                                                                   "indicator 'C76': 100.00000000000001")])
+def test_a_rating_just_past_the_range_in_the_last_cell_exits_2(tmp_path, capsys, token, message):
+    _copy_demo(tmp_path)
+    _set_csv_cell(tmp_path / "ratings_before.csv", -1, -1, token)
+    assert _every_command_error(tmp_path, capsys) == f"error: {tmp_path / 'ratings_before.csv'}: {message}\n"
+
+
+# (row, column) of the NaN and of a 150 in the ratings file, and where the NaN is named
+@pytest.mark.parametrize("nan_cell, out_cell, sample, indicator", [((1, 1), (-1, -1), "s1", "C11"),
+                                                                   ((-1, -1), (1, 1), "s200", "C76"),
+                                                                   ((5, 3), (5, 2), "s5", "C13")],
+                         ids=["nan-first", "nan-last", "same-row"])
+def test_a_nan_rating_is_named_before_an_out_of_range_one(tmp_path, capsys, nan_cell, out_cell, sample, indicator):
+    _copy_demo(tmp_path)
+    _set_cells("ratings_before.csv", (*nan_cell, "nan"), (*out_cell, "150"))(tmp_path)
+    assert _every_command_error(tmp_path, capsys) == (f"error: {tmp_path / 'ratings_before.csv'}: non-finite rating "
+                                                      f"at sample {sample!r}, indicator {indicator!r}: nan\n")
+
+
 def test_too_few_droplets_exits_2(tmp_path, capsys):
     _copy_demo(tmp_path)
     cfg = tmp_path / "config_before.json"
