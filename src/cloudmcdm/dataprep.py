@@ -97,6 +97,13 @@ def json_int(value) -> int:
     raise ValueError(f"expected an integer, got {value!r}")
 
 
+def json_list(value) -> list:
+    """A JSON array, as is; anything else is rejected, not iterated."""
+    if not isinstance(value, list):
+        raise TypeError("expected a JSON array")
+    return value
+
+
 def json_object(value) -> dict:
     """A JSON object, as is; anything else is rejected."""
     if not isinstance(value, dict):

@@ -706,6 +706,10 @@ BROKEN_INPUTS = [
                  "he_ratio must be at most 10, got 1e+300", id="scheme-he_ratio-1e300"),
     pytest.param(_edit_json("scheme.json", lambda doc: doc.update(bands=[])), [], "scheme.json",
                  "scheme needs at least one band", id="scheme-no-bands"),
+    # bands is a JSON array, never a string or object iterated as one
+    *[pytest.param(_edit_json("scheme.json", lambda doc, v=v: doc.update(bands=v)), [], "scheme.json",
+                   f"invalid value {v!r} for key 'bands': expected a JSON array", id=f"scheme-bands-{kind}")
+      for kind, v in (("string", "poor"), ("object", {}))],
     pytest.param(_edit_json("scheme.json", lambda doc: doc["bands"][1].update(upper=60)), [], "scheme.json",
                  "band 'fair': lower 60.0 must be below upper 60.0", id="scheme-empty-band"),
     # a label is a JSON string, never the str() of another value
