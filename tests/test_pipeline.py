@@ -461,7 +461,7 @@ def test_out_of_range_rating_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("token", ["0", "-0.0", "100"])
-def test_ratings_at_the_ends_of_the_range_load(tmp_path, capsys, token):
+def test_ratings_at_the_ends_of_the_range_load(tmp_path, token):
     _copy_demo(tmp_path)
     _set_csv_cell(tmp_path / "ratings_before.csv", -1, -1, token)
     assert cli_main(["validate", str(tmp_path / "config_before.json")]) == 0
