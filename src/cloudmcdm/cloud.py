@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dataprep import CheckedRecord, json_float, json_list, json_str, json_value, read_json
+from .dataprep import CheckedRecord, column_blocks, json_float, json_list, json_str, json_value, read_json
 
 # Fewest droplets per direction that a similarity estimate, and fewest rows that an
 # evaluation's droplets.csv, may rest on.
@@ -156,18 +156,24 @@ def forward_cloud(c: CloudParams, n: int, seed: int) -> DropletSet:
 def indicator_cloud(ratings: np.ndarray) -> list[CloudParams]:
     """Cloud of each column of a samples x indicators rating matrix (a 1-D array is
     one column) from moments: Ex^ = mean, En^ = sqrt(pi/2) * mean|x - Ex^| and
-    He^ = sqrt(max(0, S^2 - En^2)), S^2 the unbiased sample variance. Columns sum in
-    Fortran order, so each cloud has the bits of its column estimated alone."""
-    x = np.asfortranarray(ratings, dtype=float).reshape(len(ratings), -1)
+    He^ = sqrt(max(0, S^2 - En^2)), S^2 the unbiased sample variance.
+
+    This stage owns the layout its sums depend on: it reads the columns in runs
+    through one small F-order buffer (`column_blocks`), so each cloud has the bits
+    of its column estimated alone whatever the layout of `ratings`."""
+    x = np.asarray(ratings, dtype=float).reshape(len(ratings), -1)
     n = len(x)
     if n < MIN_SAMPLES:
         raise ValueError(f"backward generator needs at least {MIN_SAMPLES} samples, got {n}")
-    ex = x.sum(axis=0) / n
-    dev = np.subtract(x, ex, out=np.empty_like(x))  # the one ratings-sized buffer
-    np.abs(dev, out=dev)
-    en = np.sqrt(np.pi / 2.0) * (dev.sum(axis=0) / n)
-    np.multiply(dev, dev, out=dev)  # |d| * |d| has the bits of d * d
-    s2 = dev.sum(axis=0) / (n - 1)
+    ex, en, s2 = np.empty((3, x.shape[1]))
+    for j, dev in column_blocks(x):
+        run = slice(j, j + dev.shape[1])
+        ex[run] = dev.sum(axis=0) / n
+        np.subtract(dev, ex[run], out=dev)
+        np.abs(dev, out=dev)
+        en[run] = np.sqrt(np.pi / 2.0) * (dev.sum(axis=0) / n)
+        np.multiply(dev, dev, out=dev)  # |d| * |d| has the bits of d * d
+        s2[run] = dev.sum(axis=0) / (n - 1)
     return [CloudParams(e, s, math.sqrt(max(0.0, v - s**2)))
             for e, s, v in zip(ex.tolist(), en.tolist(), s2.tolist())]
 

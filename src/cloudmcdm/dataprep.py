@@ -36,35 +36,58 @@ class DataMatrix(CheckedRecord, namedtuple("DataMatrix", "object_ids indicator_i
 
 
 def min_max_normalize(d: DataMatrix, cost: list[bool] | np.ndarray) -> DataMatrix:
-    """Column-wise min-max scaling to [0,1], in the layout of `d.values`.
+    """Column-wise min-max scaling to [0,1], column-major whatever the layout of `d.values`.
 
     `cost` holds one bool per column (`IndexHierarchy.cost_leaves`): False is a
     benefit column, (x - min) / (max - min); True a cost column, (max - x) / (max - min).
     Constant columns map to 0.5 everywhere, so downstream entropy weighting
     assigns them zero discriminating power without a division by zero. A column
     whose max - min overflows a float is rejected.
+
+    This stage owns the layout of the normalized matrix: it makes its one output
+    F-contiguous, so `entropy_weights` and `combine_weights`, which read it, give
+    the same bits whatever layout the loader hands over.
     """
     x = d.values
     cost = np.asarray(cost)
     if cost.dtype != bool or cost.shape != (x.shape[1],):
         raise ValueError(f"cost must be one bool per column ({x.shape[1]}), got {cost.dtype} {cost.shape}")
-    if not np.isfinite(x).all():
+    out = np.array(x, order="F")
+    lo, hi = out.min(axis=0), out.max(axis=0)
+    if not (np.isfinite(lo).all() and np.isfinite(hi).all()):  # NaN and +-inf reach a column's min or max
         bad = np.argwhere(~np.isfinite(x))[0]
         raise ValueError(
             f"non-finite value at object {d.object_ids[bad[0]]!r}, "
             f"indicator {d.indicator_ids[bad[1]]!r}"
         )
-    lo, hi = x.min(axis=0), x.max(axis=0)
     with np.errstate(over="ignore"):
         span = hi - lo
     if not np.isfinite(span).all():  # a finite column such as -1e308 .. 1e308
         raise ValueError(f"column {d.indicator_ids[np.argmin(np.isfinite(span))]!r}: range overflows")
-    out = x - lo
-    np.subtract(hi, x, out=out, where=cost)
+    np.subtract(out, lo, out=out, where=~cost)
+    np.subtract(hi, out, out=out, where=cost)
     with np.errstate(invalid="ignore"):  # a constant column is 0 / 0 here
         out /= span
     out[:, hi == lo] = 0.5
     return DataMatrix(d.object_ids, d.indicator_ids, out)
+
+
+_BLOCK = 32768  # elements in the buffers of `column_blocks`: small, like _CHUNK, so they add few pages
+
+
+def column_blocks(x: np.ndarray, buffers: int = 1):
+    """(j, b_1, ..., b_buffers) for each run of columns j, j + 1, ... of 2-D `x`, left to
+    right: F-order arrays of the run's shape, about `_BLOCK` elements in all and reused
+    from run to run, b_1 holding the run's columns of `x`. So each column of b_1 sums as
+    one contiguous (pairwise) sum, with the bits of that column summed alone, whatever
+    the layout of `x`, and no stage needs an `x`-sized buffer."""
+    m, n = x.shape
+    width = max(1, min(n, _BLOCK // (buffers * m)))
+    bufs = np.empty((buffers, width, m)).transpose(0, 2, 1)  # each bufs[i] is F-order (m, width)
+    for j in range(0, n, width):
+        run = bufs[:, :, :min(width, n - j)]
+        np.copyto(run[0], x[:, j:j + width])
+        yield j, *run
 
 
 # Characters that keep a file off the bulk path: quotes and CR need the csv
@@ -231,7 +254,10 @@ def _parse_rows(path: str | Path) -> tuple[list[str], list[str], np.ndarray]:
 def load_data_csv(path: str | Path, indicator_ids: list[str] | None = None) -> DataMatrix:
     """Read a data CSV: header row of unique indicator ids, first column = object id.
 
-    With `indicator_ids` the columns are checked and reordered to that order.
+    With `indicator_ids` the columns are checked and reordered to that order: the parsed
+    array is kept when its columns are in that order already, and copied once otherwise.
+    Its layout is not promised; the stages after it own the layouts their sums depend
+    on (`min_max_normalize`, `entropy_weights`, `indicator_cloud`).
     """
     header, object_ids, values = _parse_plain(path) or _parse_rows(path)
     if len(set(header)) != len(header):
@@ -242,7 +268,8 @@ def load_data_csv(path: str | Path, indicator_ids: list[str] | None = None) -> D
             missing = sorted(set(indicator_ids) - set(header))
             extra = sorted(set(header) - set(indicator_ids))
             raise ValueError(f"{path}: column mismatch; missing {missing}, unexpected {extra}")
-        column = {c: k for k, c in enumerate(header)}
-        # copy even for the identity order: the copy is F-contiguous, and the report's sums depend on that layout
-        header, values = indicator_ids, values[:, [column[i] for i in indicator_ids]]
+        if header != list(indicator_ids):
+            column = {c: k for k, c in enumerate(header)}
+            values = values[:, [column[i] for i in indicator_ids]]
+        header = indicator_ids
     return DataMatrix(tuple(object_ids), tuple(header), values)

@@ -6,7 +6,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .dataprep import CheckedRecord, DataMatrix
+from .dataprep import CheckedRecord, DataMatrix, column_blocks
 
 _SIMPLEX_TOL = 1e-9
 
@@ -39,24 +39,32 @@ def entropy_weights(z: DataMatrix) -> tuple[WeightVector, np.ndarray]:
     normalization) reach e_j = 1 and get weight 0. If every column is constant,
     weights fall back to uniform.
 
+    This stage owns the layout its sums depend on: it reads the columns in runs
+    through two small F-order buffers (`column_blocks`), so every weight has the
+    same bits whatever the layout of `z.values`.
+
     Returns (weights, per-column entropies e).
     """
     v = z.values
     m, n = v.shape
     if m < MIN_OBJECTS:
         raise ValueError(f"entropy weighting needs at least {MIN_OBJECTS} evaluation objects")
-    if (v < 0).any() or (v > 1).any():
+    # min and max decide unless a NaN reaches them; only then are the masks built, and they let a NaN through
+    if not (v.min() >= 0 and v.max() <= 1) and ((v < 0).any() or (v > 1).any()):
         raise ValueError("entropy weighting expects values in [0,1]; normalize first")
-    col_sums = v.sum(axis=0)
-    if (col_sums <= 0).any():
-        j = int(np.argmax(col_sums <= 0))
-        raise ValueError(f"column {z.indicator_ids[j]!r} sums to 0; cannot form proportions")
-    p = v / col_sums
-    # p ln p in one buffer, 0 where p is not positive (0 ln 0 := 0)
-    positive = p > 0
-    plogp = np.log(p, out=np.zeros_like(p), where=positive)
-    np.multiply(plogp, p, out=plogp, where=positive)
-    e = -plogp.sum(axis=0) / np.log(m)
+    e = np.empty(n)
+    for j, p, plogp in column_blocks(v, 2):
+        col_sums = p.sum(axis=0)
+        if (col_sums <= 0).any():
+            k = j + int(np.argmax(col_sums <= 0))
+            raise ValueError(f"column {z.indicator_ids[k]!r} sums to 0; cannot form proportions")
+        p /= col_sums
+        # p ln p, 0 where p is not positive (0 ln 0 := 0)
+        positive = p > 0
+        plogp.fill(0.0)
+        np.log(p, out=plogp, where=positive)
+        np.multiply(plogp, p, out=plogp, where=positive)
+        e[j:j + p.shape[1]] = -plogp.sum(axis=0) / np.log(m)
     d = 1.0 - e
     d = np.where(d < 1e-12, 0.0, d)  # snap fp noise at e ~ 1 to an exact zero
     total = d.sum()

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cloudmcdm.dataprep import _CHUNK, DataMatrix, _parse_plain, load_data_csv, min_max_normalize
+from cloudmcdm.cloud import indicator_cloud
+from cloudmcdm.dataprep import _BLOCK, _CHUNK, DataMatrix, _parse_plain, load_data_csv, min_max_normalize
+from cloudmcdm.ewm import entropy_weights
 
 from helpers import DEMO
 
@@ -94,7 +96,7 @@ def test_one_pass_normalize_matches_per_column_oracle(m, n, seed):
     x = rng.uniform(-1e3, 1e3, (m, n)) * 10.0 ** rng.integers(-6, 7, n)
     x[:, rng.random(n) < 0.3] = rng.uniform(-5, 5)  # constant columns
     cost = (rng.random(n) < 0.5).tolist()
-    d = matrix([f"c{j}" for j in range(n)], np.asfortranarray(x))  # the layout load_data_csv returns
+    d = matrix([f"c{j}" for j in range(n)], np.asfortranarray(x))  # so the oracle's output is column-major too
     with np.errstate(all="raise"):  # the 0 / 0 of a constant column must stay silent
         got = min_max_normalize(d, cost).values
     want = reference_min_max_normalize(d, cost).values
@@ -137,16 +139,51 @@ def test_repository_csvs_take_the_bulk_path():
 
 
 @pytest.mark.parametrize("plain", [True, False], ids=["bulk", "csv-reader"])
-@pytest.mark.parametrize("reverse", [False, True], ids=["identity", "reversed"])
-def test_loaded_values_are_column_major(tmp_path, plain, reverse):
-    # the report's sums over the loaded matrices depend on this layout: skipping the
-    # reorder copy for the identity order changes the demo report's FCE gap
+@pytest.mark.parametrize("order", [["c", "b", "a"]], ids=["reversed"])
+def test_loaded_values_are_column_major(tmp_path, plain, order):
+    # reordering takes one copy, through a column index, which comes out column-major
     path = tmp_path / "data.csv"
     quote = "" if plain else '"'
     path.write_text(f"id,a,b,c\n{quote}x{quote},1,2,3\ny,4,5,6\n")
     assert (_parse_plain(path) is not None) == plain
-    ids = ["c", "b", "a"] if reverse else ["a", "b", "c"]
-    assert load_data_csv(path, ids).values.flags.f_contiguous
+    assert load_data_csv(path, order).values.flags.f_contiguous
+
+
+def _layouts(x):
+    """x in C order, in F order and as a column slice that is neither."""
+    wide = np.zeros((len(x), 2 * x.shape[1]))
+    wide[:, ::2] = x
+    yield "C", np.ascontiguousarray(x)
+    yield "F", np.asfortranarray(x)
+    yield "slice", wide[:, ::2]
+
+
+def _stage_bits(stage, x):
+    d = DataMatrix(tuple(f"o{i}" for i in range(len(x))), tuple(f"c{j}" for j in range(x.shape[1])), x)
+    if stage == "indicator_cloud":
+        return np.array(indicator_cloud(x)).tobytes()
+    if stage == "entropy_weights":
+        w, e = entropy_weights(d)
+        return w.weights.tobytes() + e.tobytes()
+    z = min_max_normalize(d, np.arange(x.shape[1]) % 3 == 0).values
+    assert z.flags.f_contiguous
+    return z.tobytes(order="F")
+
+
+@pytest.mark.parametrize("m", [64, 2000])
+@pytest.mark.parametrize("cols", ["one", "one-past-a-block"])
+@pytest.mark.parametrize("stage", ["indicator_cloud", "min_max_normalize", "entropy_weights"])
+def test_summing_stages_own_the_layout(stage, cols, m):
+    # the report's sums depend on each column being summed contiguously, and the loader
+    # promises no layout: the stages after it must give the same bits for every layout,
+    # and min_max_normalize must hand on a column-major matrix
+    n = 1 if cols == "one" else 2 * (_BLOCK // m) + 1  # one past a block of indicator_cloud ...
+    assert (n - 1) % max(1, _BLOCK // (2 * m)) == 0  # ... and of entropy_weights, which has two buffers
+    rng = np.random.default_rng(m + n)
+    x = np.round(rng.uniform(0, 1, (m, n)), 4)
+    x[: m // 10] = 0.0  # some p = 0 cells take the 0 ln 0 := 0 path
+    bits = {name: _stage_bits(stage, v) for name, v in _layouts(x)}
+    assert bits["C"] == bits["F"] == bits["slice"]
 
 
 def _scaled_ratings(path):
@@ -183,6 +220,43 @@ def test_plain_parse_holds_no_copy_of_the_file(tmp_path):
         tracemalloc.stop()
     assert values.shape == (2000, 225)
     assert peak <= 1.5 * values.nbytes, peak / values.nbytes
+
+
+@pytest.fixture(scope="module")
+def scaled_ratings(tmp_path_factory):
+    """The `_scaled_ratings` file and its leaf ids."""
+    path = tmp_path_factory.mktemp("scaled") / "ratings.csv"
+    return path, _scaled_ratings(path)
+
+
+def _traced_peak(stage, *args):
+    tracemalloc.start()
+    try:
+        stage(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_leaf_ordered_load_holds_the_matrix_once(scaled_ratings):
+    path, ids = scaled_ratings
+    d = load_data_csv(path, ids)
+    peak = _traced_peak(load_data_csv, path, ids)
+    assert peak <= 1.3 * d.values.nbytes, peak / d.values.nbytes
+
+
+def test_backward_clouds_hold_one_small_buffer(scaled_ratings):
+    values = load_data_csv(*scaled_ratings).values
+    peak = _traced_peak(indicator_cloud, values)
+    assert peak <= 0.25 * values.nbytes, peak / values.nbytes
+
+
+def test_entropy_weights_hold_small_buffers(scaled_ratings):
+    d = load_data_csv(*scaled_ratings)
+    z = min_max_normalize(DataMatrix(d.object_ids[:1000], d.indicator_ids, d.values[:1000]),
+                          np.arange(len(d.indicator_ids)) % 2 == 1)
+    peak = _traced_peak(entropy_weights, z)
+    assert peak <= 0.25 * z.values.nbytes, peak / z.values.nbytes
 
 
 def reference_load_data_csv(path, indicator_ids=None) -> DataMatrix:
