@@ -6,7 +6,7 @@ A qualitative concept is the triple (Ex, En, He): expected value, entropy
 (breadth of the concept) and hyper-entropy (dispersion of the breadth, the
 cloud's "thickness"). Droplets draw from numpy's PCG64 generator seeded
 explicitly, so a droplet stream is a pure function of (params, n, seed).
-Grading draws no droplets: each similarity to a grade cloud is the exact
+Grading draws no droplets: each similarity to a grade cloud is the
 expectation of the droplet-membership similarity, taken by Gauss-Legendre
 quadrature, so grades and tables depend on neither a seed nor a droplet count.
 `cloud_similarity` is the droplet (Monte Carlo) estimate of the same quantity.
@@ -240,10 +240,10 @@ def _expected_membership(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     En_b / s * exp(-(Ex_a - Ex_b)^2 / (2 s^2)), s^2 = En_b^2 + En'^2. That is averaged
     over En' ~ N(En_a, He_a^2) truncated to (0, inf), as droplets resample En' <= 0,
     by 128-node Gauss-Legendre over +-12 He_a clipped at 0 and divided by the
-    quadrature of the density; with He_a = 0 it is the closed form at En_a. Against
-    400 nodes: within 2e-14 under DEFAULT_SCHEME, heavy truncation such as
-    (60, 0.5, 5) and (10, 0.01, 3) included, but only 4e-7 for (99, 20, 19) under
-    he_ratio 3 with bands 0-1 / 1-99 / 99-100.
+    quadrature of the density; with He_a = 0 it is the closed form at En_a. Its error
+    grows with a band cloud's He / En, the scheme's he_ratio: against 1024 nodes the
+    largest over 400 random clouds was 5.1e-14 at he_ratio 0.1 (the default),
+    2.9e-11 at 1, 7.7e-8 at 3 and 5.9e-7 at 10, so not every printed digit is exact.
     """
     nodes, weights = _gauss_legendre(128)
     ex_a, en_a, he_a = (a[..., k, None] for k in range(3))
@@ -294,7 +294,7 @@ def grade_clouds(clouds: list[CloudParams], scheme: GradeScheme = DEFAULT_SCHEME
     """Grade every cloud of one evaluation: per cloud, in order, the label of the
     most similar grade cloud and the full similarity table.
 
-    Each similarity is the exact expectation of `cloud_similarity`'s estimate.
+    Each similarity is the expectation of `cloud_similarity`'s estimate, to `_expected_membership`'s error.
     Every cloud, band and direction is evaluated in one numpy pass and no droplet
     is drawn, so a table depends only on its cloud and the scheme. The label is the
     first maximum scanning from the top band down, so an exact tie goes to the

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import codecs
 import csv
 import itertools
 import json
@@ -93,7 +92,7 @@ def column_blocks(x: np.ndarray, buffers: int = 1):
 # Characters that keep a file off the bulk path: quotes and CR need the csv
 # reader, and numpy strips \x1c-\x1f as whitespace where float() rejects them.
 _NOT_PLAIN = '"\r\x1c\x1d\x1e\x1f'
-_CHUNK = 16384  # bytes per read of a plain CSV: small, so the reads add little to a process's pages
+_CHUNK = 16384  # characters per read of a plain CSV: small, so the reads add little to a process's pages
 
 
 def read_json(path: str | Path):
@@ -173,22 +172,20 @@ def read_csv_rows(path: str | Path) -> list[list[str]]:
 
 
 def _plain_lines(f):
-    """The "\\n"-separated lines of binary file `f`, read `_CHUNK` bytes at a time
-    through an incremental UTF-8 decoder; an empty last line is dropped. Each chunk
-    is checked whole: a character of `_NOT_PLAIN`, a line longer than the csv field
-    limit and a byte that is not UTF-8 each raise a ValueError."""
+    """The "\\n"-separated lines of text file `f`, read `_CHUNK` characters at a time;
+    an empty last line is dropped. Each chunk is checked whole: a character of
+    `_NOT_PLAIN` and a line longer than the csv field limit each raise a ValueError,
+    as the read itself does on a byte that is not UTF-8."""
     limit = csv.field_size_limit()
-    decode = codecs.getincrementaldecoder("utf-8")().decode
     tail = ""
     while chunk := f.read(_CHUNK):
-        text = tail + decode(chunk)
+        text = tail + chunk
         if any(c in text for c in _NOT_PLAIN):
             raise ValueError("a character of _NOT_PLAIN")
         *lines, tail = text.split("\n")
         if len(text) > limit and (len(tail) > limit or max(map(len, lines), default=0) > limit):
             raise ValueError("line over the csv field limit")
         yield from lines
-    decode(b"", final=True)  # a sequence cut off at the end of the file
     if tail:
         yield tail
 
@@ -203,7 +200,7 @@ def _parse_plain(path: str | Path) -> tuple[list[str], list[str], np.ndarray] | 
     anything else (blank lines, `1_0`, non-ASCII digits, every error) is left
     to the csv reader, even when numpy has already read most of the file.
 
-    The file is read in `_CHUNK`-byte chunks (`_plain_lines`), and each line's
+    The file is read in `_CHUNK`-character chunks (`_plain_lines`), and each line's
     values part goes through a generator, which collects the ids as it goes,
     into one `np.loadtxt` call; no copy of the whole file is held.
     """
@@ -217,7 +214,7 @@ def _parse_plain(path: str | Path) -> tuple[list[str], list[str], np.ndarray] | 
             ids.append(i.strip())
             yield rest
 
-    with open(path, "rb") as f:
+    with open(path, encoding="utf-8", newline="") as f:
         try:
             lines = _plain_lines(f)
             header = [c.strip() for c in next(lines, "").split(",")[1:]]

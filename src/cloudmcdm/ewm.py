@@ -49,8 +49,7 @@ def entropy_weights(z: DataMatrix) -> tuple[WeightVector, np.ndarray]:
     m, n = v.shape
     if m < MIN_OBJECTS:
         raise ValueError(f"entropy weighting needs at least {MIN_OBJECTS} evaluation objects")
-    # min and max decide unless a NaN reaches them; only then are the masks built, and they let a NaN through
-    if not (v.min() >= 0 and v.max() <= 1) and ((v < 0).any() or (v > 1).any()):
+    if not (v.min() >= 0 and v.max() <= 1):  # a NaN fails both
         raise ValueError("entropy weighting expects values in [0,1]; normalize first")
     e = np.empty(n)
     for j, p, plogp in column_blocks(v, 2):

@@ -119,14 +119,13 @@ def to_preference(j: np.ndarray) -> np.ndarray:
     """
     j = _check_square(j, "judgment matrix")
     diffs = np.abs(j[..., None] - SAATY_VALUES)
-    idx = diffs.argmin(axis=-1)
-    off = np.take_along_axis(diffs, idx[..., None], axis=-1)[..., 0] > _SCALE_TOL
+    off = diffs.min(axis=-1) > _SCALE_TOL
     if off.any():
         i, k = np.argwhere(off)[0]
         raise ValueError(
             f"entry {float(j[i, k])} at cell ({i + 1},{k + 1}) is not on the 1/9..9 scale"
         )
-    return PREFERENCE_VALUES[idx]
+    return PREFERENCE_VALUES[diffs.argmin(axis=-1)]
 
 
 def _saaty(upper: np.ndarray, n: int) -> np.ndarray:

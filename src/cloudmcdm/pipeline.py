@@ -246,17 +246,14 @@ def load_inputs(cfg: PipelineConfig) -> PipelineInputs:
     if len(ratings.object_ids) < MIN_SAMPLES:
         raise ValueError(f"{cfg.ratings}: backward generator needs at least {MIN_SAMPLES} rating samples, "
                          f"got {len(ratings.object_ids)}")
-
-    def reject(bad: np.ndarray, what: str) -> None:
-        if bad.any():
-            s, k = np.argwhere(bad)[0]
-            raise ValueError(f"{cfg.ratings}: {what} at sample {ratings.object_ids[s]!r}, "
-                             f"indicator {ratings.indicator_ids[k]!r}: {float(ratings.values[s, k])}")
-
     v = ratings.values
     if not (v.min() >= 0 and v.max() <= 100):  # NaN fails both; only then are the masks built
-        reject(~np.isfinite(v), "non-finite rating")
-        reject((v < 0) | (v > 100), "rating outside [0, 100]")
+        bad, what = ~np.isfinite(v), "non-finite rating"
+        if not bad.any():
+            bad, what = (v < 0) | (v > 100), "rating outside [0, 100]"
+        s, k = np.argwhere(bad)[0]
+        raise ValueError(f"{cfg.ratings}: {what} at sample {ratings.object_ids[s]!r}, "
+                         f"indicator {ratings.indicator_ids[k]!r}: {float(v[s, k])}")
     scheme = load_scheme(cfg.scheme) if cfg.scheme else DEFAULT_SCHEME
     return PipelineInputs(h, leaves, data, z, ratings, scheme, _subjective_weights(h, cfg))
 

@@ -122,6 +122,11 @@ def test_zero_entropy_with_hyper_entropy_rejected():
         forward_cloud(CloudParams(85, 0, 1), 10, seed=0)
 
 
+def test_forward_needs_a_droplet():
+    with pytest.raises(ValueError, match="^droplet count must be at least 1$"):
+        forward_cloud(CloudParams(85, 5, 0.5), 0, 0)
+
+
 @pytest.mark.parametrize("field", ["en", "he"])
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_non_finite_entropy_rejected(field, value):
@@ -329,6 +334,13 @@ def test_quadratic_strategy():
 def test_aggregation_length_mismatch():
     with pytest.raises(ValueError, match="weights"):
         aggregate_clouds([CloudParams(1, 1, 0)], np.array([0.5, 0.5]))
+
+
+@pytest.mark.parametrize("w", [[0.7, 0.7], [1.5, -0.5]], ids=["sum", "negative"])
+def test_aggregation_weights_must_be_a_simplex(w):
+    c = CloudParams(70, 5, 0.5)
+    with pytest.raises(ValueError, match="^aggregation weights must be a simplex vector$"):
+        aggregate_clouds([c, c], w)
 
 
 CLOUDS = st.one_of(

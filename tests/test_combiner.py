@@ -78,6 +78,11 @@ def test_degenerate_data_falls_back_to_even_mix():
     np.testing.assert_allclose(res.combined.weights, expect / expect.sum(), atol=1e-12)
 
 
+def test_degenerate_data_mixes_at_unit_norm():
+    res = combine_weights(wv([0.7, 0.2, 0.1]), wv([0.2, 0.3, 0.5]), matrix([[0.4, 0.6, 0.5]] * 3))
+    np.testing.assert_allclose(res.theta, [1.0 / np.sqrt(2.0)] * 2, rtol=0, atol=1e-15)
+
+
 def test_matches_grid_search():
     rng = np.random.default_rng(23)
     for _ in range(20):
@@ -131,3 +136,8 @@ def test_length_mismatch():
     with pytest.raises(ValueError, match="indicator order"):
         combine_weights(wv([0.5, 0.5]), wv([0.3, 0.3, 0.4]),
                         matrix(np.random.default_rng(0).uniform(0, 1, (2, 3))))
+
+
+def test_data_column_count_mismatch():
+    with pytest.raises(ValueError, match="^data has 3 indicator columns but weights have 2$"):
+        combine_weights(wv([0.5, 0.5]), wv([0.3, 0.7]), matrix(np.random.default_rng(0).uniform(0, 1, (2, 3))))

@@ -38,6 +38,11 @@ def test_non_finite_rejected():
         min_max_normalize(matrix(["a"], [[1], [np.nan]]), [False])
 
 
+def test_shape_must_match_the_ids():
+    with pytest.raises(ValueError, match=r"^values shape \(2, 2\) does not match 1 objects x 2 indicators$"):
+        DataMatrix(("o1",), ("a", "b"), np.zeros((2, 2)))
+
+
 @pytest.mark.parametrize("cost", [{"a": "cost", "b": "cost"}, "cost", [True], [True, False, True], [1, 0]],
                          ids=["dict", "string", "short", "long", "ints"])
 def test_cost_mask_must_be_one_bool_per_column(cost):

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cloudmcdm.dataprep import DataMatrix
+from cloudmcdm.dataprep import _BLOCK, DataMatrix
 from cloudmcdm.ewm import WeightVector, entropy_weights
 
 
@@ -95,6 +95,21 @@ def test_out_of_range_rejected():
         entropy_weights(matrix([[1.5, 0.2], [0.1, 0.3]]))
 
 
+@pytest.mark.parametrize("cell", [np.nan, np.inf, -np.inf])
+def test_non_finite_cell_rejected(cell):
+    # a NaN fails both extremes; it must not go on to weigh its column
+    with pytest.raises(ValueError, match=r"^entropy weighting expects values in \[0,1\]; normalize first$"):
+        entropy_weights(matrix([[0, 0.2, 0.5], [1, cell, 0.1], [0.5, 0.7, 0.9]]))
+
+
+def test_zero_column_is_named_in_a_later_run():
+    v = np.random.default_rng(5).uniform(0.1, 1.0, (2000, 12))
+    v[:, 10] = 0.0
+    assert _BLOCK // (2 * 2000) == 8  # runs of 8 columns: c10 is the third column of the second run
+    with pytest.raises(ValueError, match=r"^column 'c10' sums to 0; cannot form proportions$"):
+        entropy_weights(matrix(v))
+
+
 def test_all_constant_falls_back_to_uniform():
     w, _ = entropy_weights(matrix([[0.5, 0.5], [0.5, 0.5]]))
     np.testing.assert_allclose(w.weights, [0.5, 0.5])
@@ -106,6 +121,11 @@ def test_weight_vector_invariants():
     assert str(e.value) == "weights must sum to 1, got 1.4"  # a Python float on every numpy version
     with pytest.raises(ValueError):
         WeightVector(("a", "b"), np.array([1.2, -0.2]))
+
+
+def test_weight_count_must_match_the_ids():
+    with pytest.raises(ValueError, match="^weight count does not match indicator count$"):
+        WeightVector(("a", "b"), [1.0])
 
 
 def test_entropy_holds_one_buffer_beside_the_proportions():

@@ -125,3 +125,8 @@ def test_dimension_mismatch():
     m = membership_matrix([50.0, 60.0], DEFAULT_SCHEME)
     with pytest.raises(ValueError, match="match"):
         fce_score(m, wv([1.0]), DEFAULT_SCHEME)
+
+
+def test_rows_must_sum_to_one():
+    with pytest.raises(ValueError, match="^each membership row must sum to 1$"):
+        fce_score(np.full((2, len(MIDS)), 0.8 / len(MIDS)), wv([0.5, 0.5]), DEFAULT_SCHEME)

@@ -23,7 +23,7 @@ from cloudmcdm.iahp import (
     validate_judgment,
     weigh_judgments,
 )
-from cloudmcdm.iahp import _distances, _probabilities, _pull, _references, _upper
+from cloudmcdm.iahp import _distances, _power_iteration, _probabilities, _pull, _references, _upper
 
 from helpers import (auto_correct_per_call_indices, consistent_judgment, from_preference, perturbed_judgment,
                      power_iteration_one, reference_row_means)
@@ -78,6 +78,17 @@ def test_to_preference_off_scale_names_cell():
     m = np.array([[1.0, 2.5], [0.4, 1.0]])
     with pytest.raises(ValueError, match=r"\(1,2\)"):
         to_preference(m)
+
+
+def test_judgment_must_be_square():
+    with pytest.raises(ValueError, match=r"^judgment matrix must be square, got shape \(2, 3\)$"):
+        validate_judgment(np.ones((2, 3)))
+
+
+def test_power_iteration_out_of_sweeps_raises():
+    a = np.array([[[1.0, 3.0, 5.0], [1 / 3, 1.0, 2.0], [1 / 5, 1 / 2, 1.0]]])
+    with pytest.raises(RuntimeError, match="^power iteration did not converge$"):
+        _power_iteration(a, max_sweeps=1)
 
 
 def test_from_preference_interpolates_between_knots():
