@@ -118,14 +118,15 @@ def to_preference(j: np.ndarray) -> np.ndarray:
     Off-scale entries are rejected with the offending cell named (1-based).
     """
     j = _check_square(j, "judgment matrix")
-    diffs = np.abs(j[..., None] - SAATY_VALUES)
-    off = diffs.min(axis=-1) > _SCALE_TOL
+    nearest = np.abs(j[..., None] - SAATY_VALUES).argmin(axis=-1)
+    # the same bits as the distance at the argmin, so one reduction decides both
+    off = np.abs(j - SAATY_VALUES[nearest]) > _SCALE_TOL
     if off.any():
         i, k = np.argwhere(off)[0]
         raise ValueError(
             f"entry {float(j[i, k])} at cell ({i + 1},{k + 1}) is not on the 1/9..9 scale"
         )
-    return PREFERENCE_VALUES[diffs.argmin(axis=-1)]
+    return PREFERENCE_VALUES[nearest]
 
 
 def _saaty(upper: np.ndarray, n: int) -> np.ndarray:

@@ -397,46 +397,53 @@ def run_pipeline(config: PipelineConfig | str | Path, out_dir: str | Path | None
     return report
 
 
+# rows per block of droplets.csv: a block's text, about 37 bytes a row on the demo,
+# stays under glibc's 128 KiB mmap threshold, so its buffers come from the heap
+_CSV_BLOCK_ROWS = 2048
+
+
 def droplets_csv_bytes(drops) -> bytes:
     """`x,mu` header, then one `x,mu` row per droplet, each value as Python's
     `repr` of the float64: its shortest round-trip digits.
 
-    orjson formats all values in one call. It writes the same digits as repr,
-    and the same text wherever 1e-4 <= |v| < 1e16 or v is +-0.0. Outside that
-    range it writes small values positionally (`0.00006079666133681959`) or
-    without repr's exponent sign and padding (`1e-7`, `1e16`), and non-finite
-    ones as `null`; each such value is spliced in as its own repr.
+    orjson formats each block of _CSV_BLOCK_ROWS rows in one call. It writes the
+    same digits as repr, and the same text wherever 1e-4 <= |v| < 1e16 or v is
+    +-0.0. Outside that range it writes small values positionally
+    (`0.00006079666133681959`) or without repr's exponent sign and padding
+    (`1e-7`, `1e16`), and non-finite ones as `null`; each such value is spliced
+    in as its own repr. The block texts are joined once, so the traced peak is
+    about twice the output: the blocks and the joined bytes.
     """
+    pieces = [b"x,mu\n"]
+    for start in range(0, len(drops.x), _CSV_BLOCK_ROWS):
+        rows = slice(start, start + _CSV_BLOCK_ROWS)
+        pieces += _csv_block(drops.x[rows], drops.mu[rows])
+    return b"".join(pieces)
+
+
+def _csv_block(x, mu) -> list:
+    """The rows of one block: views of its orjson text and the repr of each value
+    orjson writes otherwise, in order."""
     import orjson  # local import: validate and weights never load it
 
-    n = len(drops.x)
-    if n == 0:
-        return b"x,mu\n"
-    xmu = np.empty(2 * n)  # x0,mu0,x1,mu1,... as float64, so an integer value still reads 50.0
-    xmu[0::2], xmu[1::2] = drops.x, drops.mu
+    xmu = np.empty(2 * len(x))  # x0,mu0,x1,mu1,... as float64, so an integer value still reads 50.0
+    xmu[0::2], xmu[1::2] = x, mu
     a = np.abs(xmu)
     off = np.flatnonzero(~((a >= 1e-4) & (a < 1e16) | (a == 0)))  # NaN fails every comparison
     reprs = [repr(v).encode() for v in xmu[off].tolist()]
-    # each array goes once spent, so the text is never held twice beside a third array
-    raw = orjson.dumps(xmu, option=orjson.OPT_SERIALIZE_NUMPY)
-    del xmu, a
-    text = bytearray(raw)
-    del raw
+    text = bytearray(orjson.dumps(xmu, option=orjson.OPT_SERIALIZE_NUMPY))
     # with the brackets read as commas, value k lies between delimiters k and k + 1,
     # and every second delimiter from the third on ends a row
     buf = np.frombuffer(text, np.uint8)
     buf[[0, -1]] = ord(",")
     delims = np.flatnonzero(buf == ord(","))
     buf[delims[2::2]] = ord("\n")
-    lo, hi = (delims[off] + 1).tolist(), delims[off + 1].tolist()
-    del delims
-    view = memoryview(text)
-    pieces, at = [b"x,mu\n"], 1
-    for start, stop, r in zip(lo, hi, reprs):
+    view, at, pieces = memoryview(text), 1, []
+    for start, stop, r in zip((delims[off] + 1).tolist(), delims[off + 1].tolist(), reprs):
         pieces += (view[at:start], r)
         at = stop
     pieces.append(view[at:])
-    return b"".join(pieces)
+    return pieces
 
 
 def load_report(path: str | Path) -> dict:

@@ -3,6 +3,7 @@ stdlib encoder and the per-droplet code they replaced, and a full run with
 artifacts at the engine's limits."""
 
 import json
+import tracemalloc
 import xml.etree.ElementTree as ET
 from types import SimpleNamespace
 
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 from cloudmcdm import svgplot
 from cloudmcdm.cloud import DEFAULT_SCHEME, CloudParams, GradeScheme, forward_cloud
-from cloudmcdm.pipeline import EvaluationReport, droplets_csv_bytes, run_pipeline
+from cloudmcdm.pipeline import _CSV_BLOCK_ROWS, EvaluationReport, droplets_csv_bytes, run_pipeline
 from cloudmcdm.svgplot import cloud_diagram
 
 from helpers import round_floats
@@ -226,6 +227,38 @@ def test_droplets_csv_matches_repr_on_any_in_range_floats(pairs):
     xs, mus = (np.array(v, dtype=np.float64) for v in zip(*pairs))
     drops = SimpleNamespace(x=xs, mu=mus)
     assert droplets_csv_bytes(drops) == reference_droplets_csv_bytes(drops)
+
+
+# (row count, row) pairs at the edges of the writer's blocks: one short of a block,
+# one block, one past it and two blocks and a part, each with a spliced value in the
+# first and last row and on both sides of the first block boundary
+_B = _CSV_BLOCK_ROWS
+_BLOCK_EDGES = [(n, row) for n in (_B - 1, _B, _B + 1, 2 * _B + 17)
+                for row in sorted({0, _B - 1, _B, _B + 1, n - 1}) if row < n]
+
+
+@pytest.mark.parametrize("n, row", _BLOCK_EDGES)
+@pytest.mark.parametrize("column", ["x", "mu"])
+@pytest.mark.parametrize("v", [6.079666133681959e-05, 1e16, float("nan")])
+def test_droplets_csv_splices_repr_at_block_edges(n, row, column, v):
+    drops = forward_cloud(CloudParams(83.5, 2.0, 0.2), n, 3)
+    xs, mus = drops.x.copy(), drops.mu.copy()
+    (xs if column == "x" else mus)[row] = v
+    drops = SimpleNamespace(x=xs, mu=mus)
+    assert droplets_csv_bytes(drops) == reference_droplets_csv_bytes(drops)
+
+
+def test_droplets_csv_traced_peak_is_about_twice_its_output():
+    # the block texts and their one join; a writer holding the whole text in more
+    # buffers at once (orjson's output, its copy, the comma mask) peaks near 2.4x
+    drops = forward_cloud(CloudParams(83.5, 2.0, 0.2), 200_000, 3)
+    tracemalloc.start()
+    try:
+        out = droplets_csv_bytes(drops)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.1 * len(out), peak / len(out)
 
 
 # inputs whose pixel is not written as integer cents but formatted alone by '%.2f':
