@@ -5,12 +5,14 @@ stable byte-for-byte for a fixed seed, with the score axis spanning 0-100 and
 membership 0-1. It draws `N_CLOUD` droplets of the evaluated cloud over
 `N_GRADE` droplets of each grade band's cloud, one `<circle>` per droplet with
 its pixel coordinates as `'%.2f'` prints them. The droplets of one cloud are
-mapped to pixels in numpy and their coordinates written by one orjson call as
-integer cents; only a row off the canvas or at a rounding tie goes through
-`'%.2f'`. Band labels are XML-escaped.
+mapped to pixels in numpy and written into fixed-width rows of one byte array
+from digit tables, whose NUL fillers one strip removes; only a row off the
+canvas or at a rounding tie goes through `'%.2f'`. Band labels are XML-escaped.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -39,43 +41,49 @@ def _escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
+@functools.cache  # built on first use, once per process, so importing costs nothing
+def _digit_tables() -> tuple[np.ndarray, np.ndarray]:
+    """`q.` for each q < 1000, right-aligned behind NULs, per uint32, and `rr` for each rr < 100 per uint16."""
+    whole = "".join(f"{q:>3}." for q in range(1000)).replace(" ", "\0").encode()
+    cents = "".join(f"{rr:02}" for rr in range(100)).encode()
+    return np.frombuffer(whole, np.uint32), np.frombuffer(cents, np.uint16)
+
+
 def _dots(xs, mus, color: str, r: float, opacity: float) -> bytes:
     """One `<circle>` line per droplet, joined by newlines, each pixel coordinate
     as `'%.2f'` prints it.
 
-    For a pixel v with 0 <= v and 100 * v < 1e9, fl(100 * v) lies within 6e-8 of
-    the exact product, so unless it is within 1e-6 of a rounding tie, its rint is
-    the cents `'%.2f'` prints. orjson writes those cents of every droplet in one
-    call as `q,-1rr1,q,-1rr3` (q the whole part, rr the two decimals), and three
-    replaces turn `,-1` into the decimal point and the marker digits 1 and 3 into
-    the text between the coordinates. A row holding any other value (negative,
-    -0.0, non-finite, too large or at a tie) is formatted by `%` instead.
+    For a pixel v with 0 <= v and 100 * v < 99 999.5, fl(100 * v) is within 1e-11 of
+    the exact product, so unless it is within 1e-6 of a rounding tie its rint is the
+    cents `'%.2f'` prints, q.rr with q < 1000. Each row starts as one template,
+    `<circle cx="` + 6 NULs + `" cy="` + 6 NULs + tail + newline; four column stores
+    write q and rr from `_digit_tables` through byte views, so the bytes do not depend
+    on byte order, and one single-byte `replace` strips the NULs (the tail holds none).
+    Any other row (negative, -0.0, non-finite, 1000 px and beyond, at a tie) goes through `%`.
     """
-    import orjson  # local import: validate and weights never load it
-
-    n = len(xs)
-    xy = np.empty(2 * n)
+    xy = np.empty((len(xs), 2))
     # a huge score maps to inf silently, as in float arithmetic, and then fails `fast`
     with np.errstate(over="ignore", invalid="ignore"):
-        xy[0::2], xy[1::2] = _px(xs), _py(mus)
+        xy[:, 0], xy[:, 1] = _px(xs), _py(mus)
         cents = xy * 100.0
-        fast = ~np.signbit(cents) & (cents < 1e9) & (np.abs(cents - np.floor(cents) - 0.5) > 1e-6)
-    q, rr = np.divmod(np.where(fast, np.rint(cents), 0.0).astype(np.int64), 100)
-    fields = np.empty((n, 2, 2), np.int64)  # per droplet: q_x, -(1001 + 10 rr_x), q_y, -(1003 + 10 rr_y)
-    fields[..., 0] = q.reshape(n, 2)
-    fields[..., 1] = (-10 * rr).reshape(n, 2) - [1001, 1003]
+        fast = ~np.signbit(cents) & (cents < 99_999.5) & (np.abs(cents - np.floor(cents) - 0.5) > 1e-6)
+    q, rr = np.divmod(np.where(fast, np.rint(cents), 0.0).astype(np.intp), 100)
+    whole, decimals = _digit_tables()
     tail = f'" r="{r}" fill="{color}" fill-opacity="{opacity}"/>'
-    text = (orjson.dumps(fields.reshape(-1), option=orjson.OPT_SERIALIZE_NUMPY)
-            .replace(b",-1", b".").replace(b"1,", b'" cy="')
-            .replace(b"3,", f'{tail}\n<circle cx="'.encode()))
-    out = b"".join((b'<circle cx="', memoryview(text)[1:-2], tail.encode()))  # drop `[` and `3]`
+    template = np.frombuffer(f'<circle cx="{6 * chr(0)}" cy="{6 * chr(0)}{tail}\n'.encode(), np.uint8)
+    rows = np.tile(template, (len(xy), 1))
+    rows[-1:, -1] = 0  # the last newline, stripped with the NULs
+    for k, at in ((0, 12), (1, 24)):  # the whole part and point, then the decimals, of x and of y
+        rows[:, at:at + 4].view(np.uint32)[:, 0] = whole[q[:, k]]
+        rows[:, at + 4:at + 6].view(np.uint16)[:, 0] = decimals[rr[:, k]]
+    out = rows.tobytes().replace(b"\0", b"")
     if fast.all():
         return out
-    rows, dot = out.split(b"\n"), '<circle cx="%.2f" cy="%.2f' + tail
-    slow = np.flatnonzero(~(fast[0::2] & fast[1::2]))
-    for i, x, y in zip(slow.tolist(), xy[2 * slow].tolist(), xy[2 * slow + 1].tolist()):
-        rows[i] = (dot % (x, y)).encode()
-    return b"\n".join(rows)
+    lines, dot = out.split(b"\n"), '<circle cx="%.2f" cy="%.2f' + tail
+    slow = np.flatnonzero(~fast.all(axis=1))
+    for i, (x, y) in zip(slow.tolist(), xy[slow].tolist()):
+        lines[i] = (dot % (x, y)).encode()
+    return b"\n".join(lines)
 
 
 def cloud_diagram(c: CloudParams, scheme: GradeScheme, seed: int = 0) -> bytes:
@@ -89,36 +97,26 @@ def cloud_diagram(c: CloudParams, scheme: GradeScheme, seed: int = 0) -> bytes:
     ]
     for tick in range(0, 101, 20):
         x = _px(tick)
-        axes.append(f'<line x1="{x:.2f}" y1="{_H - _MB}" x2="{x:.2f}" y2="{_H - _MB + 5}" stroke="black"/>')
-        axes.append(
-            f'<text x="{x:.2f}" y="{_H - _MB + 20}" font-size="12" text-anchor="middle">{tick}</text>'
-        )
+        axes += [f'<line x1="{x:.2f}" y1="{_H - _MB}" x2="{x:.2f}" y2="{_H - _MB + 5}" stroke="black"/>',
+                 f'<text x="{x:.2f}" y="{_H - _MB + 20}" font-size="12" text-anchor="middle">{tick}</text>']
     for tick in (0.0, 0.5, 1.0):
         y = _py(tick)
-        axes.append(f'<line x1="{_ML - 5}" y1="{y:.2f}" x2="{_ML}" y2="{y:.2f}" stroke="black"/>')
-        axes.append(
-            f'<text x="{_ML - 10}" y="{y + 4:.2f}" font-size="12" text-anchor="end">{tick:g}</text>'
-        )
-    axes.append(
-        f'<text x="{(_ML + _W - _MR) / 2:.2f}" y="{_H - 10}" font-size="13" '
-        f'text-anchor="middle">score</text>'
-    )
+        axes += [f'<line x1="{_ML - 5}" y1="{y:.2f}" x2="{_ML}" y2="{y:.2f}" stroke="black"/>',
+                 f'<text x="{_ML - 10}" y="{y + 4:.2f}" font-size="12" text-anchor="end">{tick:g}</text>']
+    axes.append(f'<text x="{(_ML + _W - _MR) / 2:.2f}" y="{_H - 10}" font-size="13" '
+                f'text-anchor="middle">score</text>')
     parts = ["\n".join(axes).encode()]
 
     for k, (label, gc) in enumerate(scheme.clouds()):
         color = _GRADE_COLORS[k % len(_GRADE_COLORS)]
         drops = forward_cloud(gc, N_GRADE, seed=seed * 1000 + 7 + k)
-        parts.append(_dots(drops.x, drops.mu, color, r=1.2, opacity=0.45))
-        parts.append(
-            f'<text x="{_px(gc.ex):.2f}" y="{_MT + 14}" font-size="12" '
-            f'text-anchor="middle" fill="{color}">{_escape(label)}</text>'.encode()
-        )
+        parts += [_dots(drops.x, drops.mu, color, r=1.2, opacity=0.45),
+                  f'<text x="{_px(gc.ex):.2f}" y="{_MT + 14}" font-size="12" '
+                  f'text-anchor="middle" fill="{color}">{_escape(label)}</text>'.encode()]
 
     drops = forward_cloud(c, N_CLOUD, seed=seed)
-    parts.append(_dots(drops.x, drops.mu, "#1f3d7a", r=1.5, opacity=0.7))
-    parts.append(
-        f'<text x="{_px(c.ex):.2f}" y="{_MT + 30}" font-size="12" text-anchor="middle" '
-        f'fill="#1f3d7a">Ex={c.ex:.2f} En={c.en:.2f} He={c.he:.2f}</text>'.encode()
-    )
+    parts += [_dots(drops.x, drops.mu, "#1f3d7a", r=1.5, opacity=0.7),
+              f'<text x="{_px(c.ex):.2f}" y="{_MT + 30}" font-size="12" text-anchor="middle" '
+              f'fill="#1f3d7a">Ex={c.ex:.2f} En={c.en:.2f} He={c.he:.2f}</text>'.encode()]
     parts.append(b"</svg>\n")
     return b"\n".join(parts)

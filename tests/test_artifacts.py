@@ -315,14 +315,64 @@ def test_dots_match_reference_at_the_bulk_range_edges():
     assert_writers_match(xs, mus[::-1])
 
 
-@pytest.mark.parametrize("seed", [0, 1, 7])
-def test_diagram_matches_reference_dots(report_before, monkeypatch, seed):
-    c = CloudParams(**report_before.comprehensive_cloud)
+def _with_ulp_neighbours(v: np.ndarray, ulps: int = 2) -> np.ndarray:
+    """`v` and the values `ulps` steps either side of each of its values."""
+    below, above, out = v, v, [v]
+    for _ in range(ulps):
+        below, above = np.nextafter(below, -np.inf), np.nextafter(above, np.inf)
+        out += [below, above]
+    return np.concatenate(out)
+
+
+# pixels at the edge of the digit tables, 0 <= v and 100 * v < 99 999.5 (the bulk
+# range, whole parts of at most 3 digits), and on whole parts of 1, 2 and 3 digits
+_TABLE_EDGES = [999.99, 999.994999, 999.995, 1000.0,
+                float(np.nextafter(999.995, 0)), float(np.nextafter(999.995, np.inf))]
+_WHOLE_DIGITS = [0.0, 9.99, 10.0, 99.99, 100.0]
+
+
+@pytest.mark.parametrize("pixels", [_TABLE_EDGES, _WHOLE_DIGITS], ids=["table-edges", "whole-digits"])
+def test_dots_match_reference_at_the_table_edges(pixels):
+    # inputs whose pixel lands on or next to each of `pixels`, and a few ulps either side
+    xs = _with_ulp_neighbours(np.array([(v - _ML) / (_W - _ML - _MR) * 100.0 for v in pixels]))
+    mus = _with_ulp_neighbours(np.array([(_H - _MB - v) / (_H - _MT - _MB) for v in pixels]))
+    text = "\n".join(reference_dots(xs, mus, "#1f3d7a", 1.5, 0.7))
+    assert all(f'cx="{v:.2f}"' in text and f'cy="{v:.2f}"' in text for v in pixels)
+    assert_writers_match(xs, mus)
+    assert_writers_match(xs, mus[::-1])
+
+
+# styles whose rows are 76, 77, 78 and 79 bytes wide with their newline, so the 4- and
+# 2-byte column stores of the digit tables land at every alignment
+_STYLES = {76: ("#1f3d7a", 1.5, 0.7), 77: ("#b0c4de", 1.2, 0.45),
+           78: ("#1f3d7a", 1.5, 0.725), 79: ("#1f3d7a", 1.5, 0.7125)}
+
+
+@pytest.mark.parametrize("width, style", _STYLES.items(), ids=[f"width-{w}" for w in _STYLES])
+def test_dots_match_reference_at_every_row_width(width, style):
+    assert len(reference_dots([50.0], [0.5], *style)[0]) + 1 == width
+    drops = forward_cloud(CloudParams(83.5, 2.0, 0.2), _DOT_ROWS, 3)
+    xs, mus = drops.x.copy(), drops.mu.copy()
+    xs[700], mus[1500] = _DOT_FALLBACKS["tie"]
+    assert svgplot._dots(xs, mus, *style) == "\n".join(reference_dots(xs, mus, *style)).encode()
+
+
+def _assert_diagram_matches_reference_dots(c: CloudParams, seed: int, monkeypatch):
     svg = cloud_diagram(c, DEFAULT_SCHEME, seed=seed)
     circles = ET.fromstring(svg).findall("{http://www.w3.org/2000/svg}circle")
     assert len(circles) == svgplot.N_CLOUD + len(DEFAULT_SCHEME.bands) * svgplot.N_GRADE
     monkeypatch.setattr(svgplot, "_dots", lambda *args, **kw: "\n".join(reference_dots(*args, **kw)).encode())
     assert cloud_diagram(c, DEFAULT_SCHEME, seed=seed) == svg
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_diagram_matches_reference_dots(report_before, monkeypatch, seed):
+    _assert_diagram_matches_reference_dots(CloudParams(**report_before.comprehensive_cloud), seed, monkeypatch)
+
+
+def test_diagram_matches_reference_dots_on_the_scaled_cloud(scaled_run, monkeypatch):
+    _, report, _ = scaled_run(1)
+    _assert_diagram_matches_reference_dots(CloudParams(**report.comprehensive_cloud), 1, monkeypatch)
 
 
 def test_diagram_escapes_band_labels_and_writes_utf8():

@@ -15,7 +15,7 @@ from cloudmcdm.iahp import RepairConfig
 
 from helpers import DEMO, assert_floats_close, auto_correct_per_call_indices, read_table
 
-TOL = 1e-9
+TOL = 1e-12
 
 
 def _columns(path: Path, ids: list[str]) -> np.ndarray:

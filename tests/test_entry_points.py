@@ -88,3 +88,16 @@ def test_import_and_the_reading_commands_leave_unused_modules_unloaded():
             "        assert not loaded, (cmd, loaded)\n")
     run = subprocess.run([sys.executable, "-c", code], env=_env(), capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
+
+
+def test_drawing_a_diagram_loads_no_orjson():
+    # the diagram's coordinates are written from digit tables, so only report.json and
+    # droplets.csv need orjson
+    code = ("import sys\n"
+            "from cloudmcdm.cloud import DEFAULT_SCHEME, CloudParams\n"
+            "from cloudmcdm.svgplot import cloud_diagram\n"
+            "svg = cloud_diagram(CloudParams(83.5, 2.0, 0.2), DEFAULT_SCHEME, seed=1)\n"
+            "assert svg.endswith(b'</svg>\\n') and svg.count(b'<circle ') == 2000 + 4 * 1200, len(svg)\n"
+            "assert 'orjson' not in sys.modules\n")
+    run = subprocess.run([sys.executable, "-c", code], env=_env(), capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
