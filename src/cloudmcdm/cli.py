@@ -76,7 +76,11 @@ def cmd_droplets(args) -> int:
     clouds = {"comprehensive": comprehensive, inputs.hierarchy.root_id: comprehensive, **crit_clouds, **leaf_clouds}
     if args.level not in clouds:
         raise ValueError(f"unknown level id {args.level!r}")
-    payload = droplets_csv_bytes(forward_cloud(clouds[args.level], args.n, cfg.seed))
+    try:
+        drops = forward_cloud(clouds[args.level], args.n, cfg.seed)
+    except (ValueError, MemoryError) as e:  # a count numpy cannot hold
+        raise ValueError(f"--n: invalid value {args.n}: {e}") from None
+    payload = droplets_csv_bytes(drops)
     if args.out:
         Path(args.out).write_bytes(payload)
     else:

@@ -308,6 +308,7 @@ def _by_criterion(h: IndexHierarchy, w: WeightVector) -> tuple[WeightVector, dic
         ids = leaf_indicators(h, cid)
         part = w.weights[start:start + len(ids)]
         start += len(ids)
+        # left to right here and pairwise below: either sum for both changes the report bytes
         sums.append(sum(part.tolist()))
         total = part.sum()
         local[cid] = WeightVector(tuple(ids), np.full(len(ids), 1.0 / len(ids)) if total == 0 else part / total)
@@ -358,7 +359,7 @@ def run_pipeline(config: PipelineConfig | str | Path, out_dir: str | Path | None
     """
     cfg = config if isinstance(config, PipelineConfig) else PipelineConfig.from_json(config)
     if cfg.droplets < MIN_DROPLETS:
-        raise ValueError(f"droplets.csv needs at least {MIN_DROPLETS} droplets, got {cfg.droplets}")
+        raise _bad_droplets(cfg, f"droplets.csv needs at least {MIN_DROPLETS} droplets, got {cfg.droplets}")
     inputs = load_inputs(cfg)
     ws = compute_weights(inputs)
     leaf_clouds, crit_clouds, comprehensive = score_clouds(inputs, ws, cfg)
@@ -386,15 +387,23 @@ def run_pipeline(config: PipelineConfig | str | Path, out_dir: str | Path | None
     )
 
     if out_dir is not None:
+        try:  # drawn first, so a count numpy cannot hold leaves nothing written
+            drops = forward_cloud(comprehensive, cfg.droplets, cfg.seed)
+        except (ValueError, MemoryError) as e:
+            raise _bad_droplets(cfg, e) from None
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         (out / "report.json").write_bytes(report.to_json_bytes())
-        drops = forward_cloud(comprehensive, cfg.droplets, cfg.seed)
         (out / "droplets.csv").write_bytes(droplets_csv_bytes(drops))
         from .svgplot import cloud_diagram  # local import: keeps plotting optional
 
         (out / "diagram.svg").write_bytes(cloud_diagram(comprehensive, inputs.scheme, seed=cfg.seed))
     return report
+
+
+def _bad_droplets(cfg: PipelineConfig, reason) -> ValueError:
+    """An error naming the config file and its key 'droplets', in json_value's wording."""
+    return ValueError(f"{cfg.source or 'config'}: invalid value {cfg.droplets!r} for key 'droplets': {reason}")
 
 
 # rows per block of droplets.csv: a block's text, about 37 bytes a row on the demo,

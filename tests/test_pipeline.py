@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cloudmcdm import __version__, hierarchy
+from cloudmcdm import __version__, cli, hierarchy, pipeline
 from cloudmcdm.cli import main as cli_main
 from cloudmcdm.cloud import DEFAULT_SCHEME, forward_cloud, indicator_cloud
 from cloudmcdm.dataprep import DataMatrix, load_data_csv, min_max_normalize
@@ -500,6 +500,56 @@ def test_too_few_droplets_exits_2(tmp_path, capsys):
     assert "at least 1000 droplets, got 999" in capsys.readouterr().err
     # exporting droplets grades nothing, so any count is accepted
     assert cli_main(["droplets", str(cfg), "--level", "comprehensive", "--n", "10"]) == 0
+
+
+def test_too_few_droplets_names_the_config_file_and_key(tmp_path, capsys):
+    _copy_demo(tmp_path)
+    cfg = tmp_path / "config_before.json"
+    cfg.write_text(json.dumps(dict(json.loads(cfg.read_text()), droplets=999)))
+    assert cli_main(["evaluate", str(cfg)]) == 2
+    assert capsys.readouterr().err == (f"error: {cfg}: invalid value 999 for key 'droplets': "
+                                       "droplets.csv needs at least 1000 droplets, got 999\n")
+    # a config built in-process has no file to name
+    with pytest.raises(ValueError, match=r"^config: invalid value 999 for key 'droplets': "):
+        run_pipeline(PipelineConfig.from_json(cfg)._replace(source=None))
+
+
+def _one_error_line(capsys, rc: int) -> str:
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1, (out, err)
+    return err
+
+
+def _out_of_memory(*args):
+    raise MemoryError("Unable to allocate 7.11 PiB for an array with shape (1000000000000000,) "
+                      "and data type float64")
+
+
+# 2**62 droplets: numpy refuses the array before it allocates anything
+@pytest.mark.parametrize("count, patch", [(2**62, None), (10**15, _out_of_memory)], ids=["2**62", "MemoryError"])
+def test_evaluate_droplet_count_numpy_cannot_hold_exits_2_writing_nothing(tmp_path, capsys, monkeypatch,
+                                                                           count, patch):
+    if patch:
+        monkeypatch.setattr(pipeline, "forward_cloud", patch)
+    _copy_demo(tmp_path)
+    cfg = tmp_path / "config_before.json"
+    cfg.write_text(json.dumps(dict(json.loads(cfg.read_text()), droplets=count)))
+    out = tmp_path / "out"
+    err = _one_error_line(capsys, cli_main(["evaluate", str(cfg), "--out", str(out)]))
+    assert err.startswith(f"error: {cfg}: invalid value {count} for key 'droplets': "), err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("count, patch", [(2**62, None), (10**15, _out_of_memory)], ids=["2**62", "MemoryError"])
+def test_droplets_count_numpy_cannot_hold_exits_2_naming_n(tmp_path, capsys, monkeypatch, count, patch):
+    if patch:
+        monkeypatch.setattr(cli, "forward_cloud", patch)
+    out = tmp_path / "drops.csv"
+    err = _one_error_line(capsys, cli_main(["droplets", str(DEMO / "config_before.json"), "--level", "C11",
+                                            "--n", str(count), "--out", str(out)]))
+    assert err.startswith(f"error: --n: invalid value {count}: "), err
+    assert not out.exists()
 
 
 def test_repeated_band_label_exits_2(tmp_path, capsys):
